@@ -2,7 +2,7 @@
 // XML pipeline's hot paths. Not a paper figure — validates that the
 // substrate behaves like a database engine (index probes orders faster
 // than scans, hash join linear, shredding linear) and guards the
-// vectorized executor's speedups.
+// executor's batch speedups.
 //
 // Prints wall-clock per micro for humans. `--json PATH` writes only the
 // deterministic observables — result rows, metered work units, and page
@@ -80,11 +80,10 @@ struct EngineFixture {
   }
 
   ExecMetrics RunSql(const std::string& sql) {
-    return RunSqlThreads(sql, /*threads=*/1, /*vectorized=*/true);
+    return RunSqlThreads(sql, /*threads=*/1);
   }
 
-  ExecMetrics RunSqlThreads(const std::string& sql, int threads,
-                            bool vectorized) {
+  ExecMetrics RunSqlThreads(const std::string& sql, int threads) {
     auto parsed = ParseSql(sql);
     XS_CHECK_OK(parsed.status());
     auto bound = BindQuery(*parsed, catalog);
@@ -95,7 +94,6 @@ struct EngineFixture {
     ExecMetrics metrics;
     ExecOptions options;
     options.exec_threads = threads;
-    options.vectorized_scan = vectorized;
     auto rows = executor.Run(*planned->root, &metrics, options);
     XS_CHECK_OK(rows.status());
     return metrics;
@@ -263,12 +261,11 @@ MicroResult StatsDerivationMicro() {
 
 constexpr int kSweepThreads[] = {1, 2, 4, 8};
 
-MicroResult SweepMicro(const std::string& name, const std::string& sql,
-                       bool vectorized) {
+MicroResult SweepMicro(const std::string& name, const std::string& sql) {
   EngineFixture& f = Fixture();
   MicroResult out;
   out.name = name;
-  ExecMetrics base = f.RunSqlThreads(sql, 1, vectorized);
+  ExecMetrics base = f.RunSqlThreads(sql, 1);
   out.values = {{"rows", static_cast<double>(base.rows_out)},
                 {"work", base.work},
                 {"pages_sequential", base.pages_sequential},
@@ -277,7 +274,7 @@ MicroResult SweepMicro(const std::string& name, const std::string& sql,
                 {"blocks_skipped", static_cast<double>(base.blocks_skipped)}};
   double wall_t1 = 0;
   for (int threads : kSweepThreads) {
-    ExecMetrics m = f.RunSqlThreads(sql, threads, vectorized);
+    ExecMetrics m = f.RunSqlThreads(sql, threads);
     XS_CHECK(m.rows_out == base.rows_out);
     XS_CHECK(m.work == base.work);
     XS_CHECK(m.pages_sequential == base.pages_sequential);
@@ -285,7 +282,7 @@ MicroResult SweepMicro(const std::string& name, const std::string& sql,
     XS_CHECK(m.blocks_scanned == base.blocks_scanned);
     XS_CHECK(m.blocks_skipped == base.blocks_skipped);
     MicroResult timed;
-    TimeMicro(&timed, [&] { f.RunSqlThreads(sql, threads, vectorized); });
+    TimeMicro(&timed, [&] { f.RunSqlThreads(sql, threads); });
     std::string suffix = "_t" + std::to_string(threads);
     double wall_ms = timed.wall_ns_per_iter / 1e6;
     if (threads == 1) wall_t1 = wall_ms;
@@ -305,23 +302,16 @@ MicroResult SweepMicro(const std::string& name, const std::string& sql,
 std::vector<MicroResult> BuildSweepMicros() {
   std::vector<MicroResult> micros;
   micros.push_back(SweepMicro("par_heap_scan",
-                              "SELECT pages FROM inproc WHERE year >= 1985",
-                              /*vectorized=*/true));
-  micros.push_back(SweepMicro("par_heap_scan_scalar",
-                              "SELECT pages FROM inproc WHERE year >= 1985",
-                              /*vectorized=*/false));
+                              "SELECT pages FROM inproc WHERE year >= 1985"));
   micros.push_back(SweepMicro(
       "par_hash_join",
       "SELECT I.pages, A.author FROM inproc I, inproc_author A "
-      "WHERE I.ID = A.PID",
-      /*vectorized=*/true));
+      "WHERE I.ID = A.PID"));
   micros.push_back(SweepMicro(
       "par_aggregate",
-      "SELECT COUNT(*), SUM(year), MIN(title), MAX(year) FROM inproc",
-      /*vectorized=*/true));
+      "SELECT COUNT(*), SUM(year), MIN(title), MAX(year) FROM inproc"));
   micros.push_back(SweepMicro("par_sort",
-                              "SELECT title, year FROM inproc ORDER BY 2, 1",
-                              /*vectorized=*/true));
+                              "SELECT title, year FROM inproc ORDER BY 2, 1"));
   return micros;
 }
 

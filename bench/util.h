@@ -37,7 +37,7 @@ double BenchScale();
 
 // Process-wide metrics registry. MakeProblem() attaches it to
 // DesignProblem::exec, so every search run in a bench binary publishes
-// its search.*/cost_cache.* counters here; export with WriteMetricsOut.
+// its search.* counters here; export with WriteMetricsOut.
 MetricsRegistry& GlobalMetrics();
 
 // Common bench CLI flags, parsed once here instead of re-implemented in

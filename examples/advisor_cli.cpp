@@ -8,13 +8,14 @@
 //       [--report-out report.json]
 //
 // --threads N costs each search round's candidates on N workers (0, the
-// default, uses every hardware thread; 1 forces the serial path). The
+// default, uses every hardware thread; 1 costs them on the calling
+// thread). The
 // chosen design is identical at any thread count — see DESIGN.md §8.
 //
 // --exec-threads N runs each executed query's scans, hash joins, sorts,
-// and aggregates on N morsel workers (1, the default, is the serial
-// executor). Result rows, metrics, and explain actuals are bit-identical
-// at any value — see DESIGN.md §13.
+// and aggregates on N morsel workers (1, the default, runs the same
+// morsels on the calling thread). Result rows, metrics, and explain
+// actuals are bit-identical at any value — see DESIGN.md §13.
 //
 // The workload file holds one XPath query per line, optionally prefixed
 // by a weight ("4.0 //movie[year >= 1998]/(title | box_office)"); '#'

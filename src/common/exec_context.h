@@ -1,25 +1,22 @@
 // ExecContext — the one execution-environment carrier threaded through
 // the search, advisor, executor, and parser entry points.
 //
-// It replaces the ad-hoc per-struct members that accreted across PRs 1-2
-// (a `ResourceGovernor*` on DesignProblem/TunerOptions/PlannerOptions, a
-// duplicated `num_threads` on every options struct) with one value-type
-// bundle of everything "how to run" — as opposed to the options structs,
-// which stay "what to compute". Every pointer is optional:
+// One value-type bundle of everything "how to run" — as opposed to the
+// options structs, which stay "what to compute". Every pointer is
+// optional:
 //
 //   governor   null = unlimited (parser recursion still has its floor)
 //   faults     null = the process-global FaultInjector
 //   metrics    null = nothing recorded
 //   trace      null = nothing traced
 //
-// Migration map (DESIGN.md §9): the legacy fields still work — entry
-// points resolve `exec.governor ? exec.governor : legacy_governor`, and
-// `exec.num_threads > 0` overrides the options-struct thread count.
+// Migration map (DESIGN.md §9): the search and the advisor take their
+// governor from `DesignProblem::exec.governor` /
+// `TunerOptions::exec.governor`, and `exec.num_threads > 0` overrides the
+// options-struct thread count.
 
 #ifndef XMLSHRED_COMMON_EXEC_CONTEXT_H_
 #define XMLSHRED_COMMON_EXEC_CONTEXT_H_
-
-#include <cstdint>
 
 namespace xmlshred {
 
@@ -33,11 +30,11 @@ class TraceSink;
 // instead of each struct redeclaring the same fields. Each consumer
 // documents which knobs it honors; the defaults are the bare run.
 struct ExecKnobs {
-  // Intra-query morsel workers. <= 1 is the exact serial executor; N > 1
-  // splits scans, hash joins, sorts, and aggregates into kMorselRows
-  // morsels on N workers. Results, metering, explain actuals, and
-  // governor/fault trip points are bit-identical at any value
-  // (DESIGN.md §13), so this is purely a latency knob.
+  // Intra-query morsel workers. Scans, hash joins, sorts, and aggregates
+  // always run as kMorselRows morsels; <= 1 runs them inline on the
+  // calling thread, N > 1 on N workers. Results, metering, explain
+  // actuals, and governor/fault trip points are bit-identical at any
+  // value (DESIGN.md §13), so this is purely a latency knob.
   int exec_threads = 1;
   // Read the steady clock around instrumented operators and record wall
   // times. Off = no clock reads anywhere (the determinism gate).
@@ -55,18 +52,15 @@ struct ExecContext {
   MetricsRegistry* metrics = nullptr;
   TraceSink* trace = nullptr;
   // Workers for parallel candidate costing: <= 0 defers to the options
-  // struct (whose own <= 0 means one per hardware thread); 1 is the exact
-  // legacy serial path.
+  // struct (whose own <= 0 means one per hardware thread); 1 costs the
+  // candidates inline on the calling thread.
   int num_threads = 0;
   // Workers for intra-query morsel execution (ExecOptions::exec_threads):
-  // <= 1 is the exact legacy serial executor; N > 1 splits scans, hash
-  // joins, and aggregates into kMorselRows morsels on N workers. Results,
-  // metering, explain actuals, and governor trip points are bit-identical
-  // at any value (DESIGN.md §13), so this is purely a latency knob.
+  // <= 1 runs the morsels inline on the calling thread, N > 1 on N
+  // workers. Results, metering, explain actuals, and governor trip points
+  // are bit-identical at any value (DESIGN.md §13), so this is purely a
+  // latency knob.
   int exec_threads = 0;
-  // Seed for any randomized tie-breaking an algorithm may adopt; 0 keeps
-  // the deterministic default behaviour.
-  uint64_t rng_seed = 0;
 };
 
 }  // namespace xmlshred

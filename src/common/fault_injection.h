@@ -57,10 +57,10 @@ inline constexpr const char* kFaultSiteServeEpochPublish =
     "serve.epoch_publish";
 inline constexpr const char* kFaultSiteServeMidQuery = "serve.mid_query";
 // Executor morsel boundary (src/exec): checked once per kMorselRows rows
-// on the heap-scan (scalar and vectorized), view-scan, hash-join-probe,
-// and aggregate loops. The check runs on the coordinator thread in strict
-// enumeration order at every thread count, so an armed nth-hit fault
-// fires at the same morsel regardless of ExecOptions::exec_threads.
+// on the heap-scan, view-scan, hash-join-probe, and aggregate loops. The
+// check runs on the coordinator thread in strict enumeration order at
+// every thread count, so an armed nth-hit fault fires at the same morsel
+// regardless of ExecOptions::exec_threads.
 inline constexpr const char* kFaultSiteExecMorsel = "exec.morsel";
 // Streaming shredder batch boundary (src/mapping/stream_shredder.cc):
 // checked once per columnar batch flushed into storage, in deterministic

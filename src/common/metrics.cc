@@ -78,13 +78,11 @@ MetricsRegistry::MetricsRegistry() {
       kMetricSearchCandidatesSelected,
       kMetricSearchCandidatesAfterMerging,
       kMetricSearchCandidatesSkipped,
-      kMetricSearchDerivationCacheHits,
       kMetricSearchWhatifRollbacks,
       kMetricSearchAdvisorCandidatesSkipped,
       kMetricSearchTruncatedRuns,
       kMetricCostCacheHits,
       kMetricCostCacheMisses,
-      kMetricCostCacheEntries,
       kMetricAdvisorTuneCalls,
       kMetricAdvisorOptimizerCalls,
       kMetricAdvisorWhatifRollbacks,

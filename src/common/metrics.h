@@ -17,9 +17,7 @@
 //    where a stage never ran) — consumers can rely on key presence.
 //  * Snapshot()/ToJson() order every section by name; the only
 //    timing-dependent exported values are gauges under "time." /
-//    "*.elapsed_seconds" and the cost-cache hit/miss split (two workers
-//    may both miss a key before either inserts; a hit is observably
-//    identical to recomputing).
+//    "*.elapsed_seconds".
 
 #ifndef XMLSHRED_COMMON_METRICS_H_
 #define XMLSHRED_COMMON_METRICS_H_
@@ -80,17 +78,17 @@ inline constexpr const char* kMetricSearchCandidatesAfterMerging =
     "search.candidates_after_merging";
 inline constexpr const char* kMetricSearchCandidatesSkipped =
     "search.candidates_skipped";
-inline constexpr const char* kMetricSearchDerivationCacheHits =
-    "search.derivation_cache_hits";
 inline constexpr const char* kMetricSearchWhatifRollbacks =
     "search.whatif_rollbacks";
 inline constexpr const char* kMetricSearchAdvisorCandidatesSkipped =
     "search.advisor_candidates_skipped";
 inline constexpr const char* kMetricSearchTruncatedRuns =
     "search.truncated_runs";
+// Published by nothing (the search keeps no memo of §4.8 derivations, see
+// DESIGN.md §8); declared and pre-registered, reading 0, because
+// pipebench's traced mode still reads them.
 inline constexpr const char* kMetricCostCacheHits = "cost_cache.hits";
 inline constexpr const char* kMetricCostCacheMisses = "cost_cache.misses";
-inline constexpr const char* kMetricCostCacheEntries = "cost_cache.entries";
 inline constexpr const char* kMetricAdvisorTuneCalls = "advisor.tune_calls";
 inline constexpr const char* kMetricAdvisorOptimizerCalls =
     "advisor.optimizer_calls";

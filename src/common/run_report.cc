@@ -53,8 +53,6 @@ RunReport RunReportFromMetrics(const MetricsSnapshot& snapshot,
       CounterOr0(snapshot, kMetricSearchCandidatesAfterMerging));
   s.candidates_skipped =
       static_cast<int>(CounterOr0(snapshot, kMetricSearchCandidatesSkipped));
-  s.derivation_cache_hits =
-      CounterOr0(snapshot, kMetricSearchDerivationCacheHits);
   s.work_spent = GaugeOr0(snapshot, kMetricSearchWorkSpent);
   s.elapsed_seconds = GaugeOr0(snapshot, kMetricSearchElapsedSeconds);
   s.truncated = CounterOr0(snapshot, kMetricSearchTruncatedRuns) > 0;
@@ -68,11 +66,6 @@ RunReport RunReportFromMetrics(const MetricsSnapshot& snapshot,
   a.candidates_skipped = static_cast<int>(
       CounterOr0(snapshot, kMetricSearchAdvisorCandidatesSkipped));
   a.truncated = CounterOr0(snapshot, kMetricAdvisorTruncatedRuns) > 0;
-
-  RunReport::CostCacheSection& c = report.cost_cache;
-  c.hits = CounterOr0(snapshot, kMetricCostCacheHits);
-  c.misses = CounterOr0(snapshot, kMetricCostCacheMisses);
-  c.entries = CounterOr0(snapshot, kMetricCostCacheEntries);
 
   RunReport::StorageSection& st = report.storage;
   st.table_bytes_peak = static_cast<int64_t>(
@@ -108,7 +101,7 @@ RunReport RunReportFromMetrics(const MetricsSnapshot& snapshot,
 }
 
 std::string RunReport::ToJson() const {
-  std::string out = "{\n  \"schema_version\": 1,\n  \"search\": {\n";
+  std::string out = "{\n  \"schema_version\": 2,\n  \"search\": {\n";
   out += StrFormat("    \"algorithm\": \"%s\",\n", search.algorithm.c_str());
   out += StrFormat("    \"rounds\": %d,\n", search.rounds);
   out += StrFormat("    \"transformations_searched\": %d,\n",
@@ -122,8 +115,6 @@ std::string RunReport::ToJson() const {
                    search.candidates_after_merging);
   out += StrFormat("    \"candidates_skipped\": %d,\n",
                    search.candidates_skipped);
-  out += StrFormat("    \"derivation_cache_hits\": %lld,\n",
-                   static_cast<long long>(search.derivation_cache_hits));
   out += StrFormat("    \"work_spent\": %.17g,\n", search.work_spent);
   out += StrFormat("    \"elapsed_seconds\": %.17g,\n", search.elapsed_seconds);
   out += StrFormat("    \"truncated\": %s\n",
@@ -136,12 +127,6 @@ std::string RunReport::ToJson() const {
                    advisor.candidates_skipped);
   out += StrFormat("    \"truncated\": %s\n",
                    advisor.truncated ? "true" : "false");
-  out += "  },\n  \"cost_cache\": {\n";
-  out += StrFormat("    \"hits\": %lld,\n", static_cast<long long>(cost_cache.hits));
-  out += StrFormat("    \"misses\": %lld,\n",
-                   static_cast<long long>(cost_cache.misses));
-  out += StrFormat("    \"entries\": %lld\n",
-                   static_cast<long long>(cost_cache.entries));
   out += "  },\n  \"storage\": {\n";
   out += StrFormat("    \"table_bytes_peak\": %lld,\n",
                    static_cast<long long>(storage.table_bytes_peak));

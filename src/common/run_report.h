@@ -1,16 +1,15 @@
 // RunReport — the one machine-readable summary of a pipeline run.
 //
-// PRs 1-2 left three disjoint telemetry surfaces: SearchTelemetry on
-// SearchResult, the anytime/rollback counters on TunerResult, and
-// CostDerivationCache's hit/miss stats. RunReport merges them into one
-// sectioned struct returned by every search algorithm
-// (SearchResult::report) and by the advisor (TunerResult::ToReport()),
-// populated from the per-run metrics registry rather than hand-maintained
-// counters (see RunReportFromMetrics).
+// RunReport merges SearchTelemetry (on SearchResult) and the
+// anytime/rollback counters (on TunerResult) into one sectioned struct
+// returned by every search algorithm (SearchResult::report) and by the
+// advisor (TunerResult::ToReport()), populated from the per-run metrics
+// registry rather than hand-maintained counters (see
+// RunReportFromMetrics).
 //
 // Determinism: every integer field is bit-identical at any thread count
-// for non-truncated runs; `elapsed_seconds`, `work_spent` (FP sums) and
-// the cost-cache hit/miss split are timing-dependent (DESIGN.md §9).
+// for non-truncated runs; `elapsed_seconds` and `work_spent` (FP sums)
+// are timing-dependent (DESIGN.md §9).
 
 #ifndef XMLSHRED_COMMON_RUN_REPORT_H_
 #define XMLSHRED_COMMON_RUN_REPORT_H_
@@ -34,7 +33,6 @@ struct RunReport {
     int candidates_selected = 0;
     int candidates_after_merging = 0;
     int candidates_skipped = 0;
-    int64_t derivation_cache_hits = 0;  // timing-dependent
     double work_spent = 0;
     double elapsed_seconds = 0;  // timing-dependent
     bool truncated = false;
@@ -49,11 +47,6 @@ struct RunReport {
     int whatif_rollbacks = 0;
     int candidates_skipped = 0;
     bool truncated = false;
-  };
-  struct CostCacheSection {
-    int64_t hits = 0;    // timing-dependent under parallel costing
-    int64_t misses = 0;  // timing-dependent under parallel costing
-    int64_t entries = 0;
   };
   // Peak columnar storage footprint across the run's shredded databases
   // (from the storage.*_peak gauges, maintained with Gauge::SetMax):
@@ -91,19 +84,19 @@ struct RunReport {
 
   SearchSection search;
   AdvisorSection advisor;
-  CostCacheSection cost_cache;
   StorageSection storage;
   CalibrationSection calibration;
 
-  // Deterministic JSON export (schema_version 1), sections in declaration
+  // Deterministic JSON export (schema_version 2), sections in declaration
   // order, keys fixed.
   std::string ToJson() const;
 };
 
 // Builds a report from a per-run registry snapshot: the search section
 // from the "search.*" counters, the advisor section from the
-// search-aggregated advisor counters, the cache section from
-// "cost_cache.*".
+// search-aggregated advisor counters, the storage section from the
+// "storage.*_peak" gauges, and the calibration section from the
+// "calibration.*" histograms.
 RunReport RunReportFromMetrics(const MetricsSnapshot& snapshot,
                                const std::string& algorithm);
 

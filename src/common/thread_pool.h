@@ -1,18 +1,21 @@
-// Fixed-size FIFO thread pool for the search pipeline.
+// Fixed-size FIFO thread pool and the ParallelFor built on it.
 //
 // Deliberately work-stealing-free: tasks are pulled from a single FIFO
 // queue under one mutex, so the pool adds no scheduling state of its own
 // and a given task set always performs the same work regardless of which
 // worker runs which task. Determinism of *results* is the caller's job —
-// the search algorithms achieve it by writing each task's output into a
-// pre-assigned slot and reducing the slots in submission order
-// (see search/greedy.cc and DESIGN.md §8).
+// callers write each task's output into a pre-assigned slot and reduce
+// the slots in submission order.
 //
-// ParallelFor is the only entry point the search uses: it runs
-// fn(0..n-1), inline on the calling thread when the pool would have a
-// single worker (the exact legacy serial path — no threads are spawned,
-// no mutex is taken), and on the pool otherwise. A `stop` predicate lets
-// anytime loops skip tasks that have not started once the budget trips.
+// ParallelFor is the one way the library schedules parallel work: the
+// search's candidate costing (search/greedy.cc, DESIGN.md §8), the
+// executor's morsel-driven operators (exec/executor.cc, DESIGN.md §13),
+// and parallel ingest and index builds. It runs fn(0..n-1) inline on the
+// calling thread when the pool would have a single worker (no threads
+// are spawned, no mutex is taken), and on the pool otherwise, so callers
+// never branch on the thread count. A `stop` predicate lets callers skip
+// tasks that have not started once the run is doomed (a tripped budget,
+// a cancelled query).
 
 #ifndef XMLSHRED_COMMON_THREAD_POOL_H_
 #define XMLSHRED_COMMON_THREAD_POOL_H_

@@ -49,22 +49,6 @@ Value CellToValue(Cell c, const StringDictionary& dict) {
   return Value::Null();
 }
 
-// Evaluates `op literal` against `v` with SQL semantics (NULL fails every
-// predicate except its absence in "is not null"). Operators come from
-// parsed query text, so an unknown one is a data error, not an invariant.
-// This is the scalar reference; the vectorized path runs CompiledPreds
-// whose outcomes are identical cell for cell.
-Result<bool> EvalPred(const Value& v, const std::string& op,
-                      const Value& literal) {
-  if (op == "is not null") return !v.is_null();
-  if (op == "=") return v.SqlEquals(literal);
-  if (op == "<") return v.SqlLess(literal);
-  if (op == "<=") return v.SqlLess(literal) || v.SqlEquals(literal);
-  if (op == ">") return literal.SqlLess(v);
-  if (op == ">=") return literal.SqlLess(v) || v.SqlEquals(literal);
-  return InvalidArgument("unknown predicate operator: " + op);
-}
-
 // A BoundFilter compiled against the dictionary: the literal is resolved
 // to a double, a dictionary code, or an encoded string sort key once, so
 // per-cell evaluation touches no Value and no character data.
@@ -312,8 +296,7 @@ size_t ApplyPredBatch(const uint8_t* tags, const uint64_t* data, size_t cnt,
 // when no cell in it can satisfy the predicate (string *range* ops
 // compare mutable dictionary ranks, so they only refute blocks with no
 // string cells at all). The probe set is a pure function of the compiled
-// predicates, hence identical for the vectorized and scalar paths, both
-// read modes, and any thread count.
+// predicates, hence identical in both read modes and at any thread count.
 std::vector<ColumnProbe> MakeZoneProbes(
     const std::vector<CompiledPred>& preds) {
   using Op = CompiledPred::Op;
@@ -418,33 +401,40 @@ size_t NumMorsels(size_t n) {
   return (n + kMorselRows - 1) / kMorselRows;
 }
 
-// Per-morsel worker output for parallel row loops. Workers are pure
-// functions of their [m*kMorselRows, (m+1)*kMorselRows) input range: they
-// write cells (and at most one row-level error) here and touch no shared
-// state, so the coordinator can replay the serial loop's interrupt order
-// afterwards and concatenate the slots in enumeration order.
+// Per-morsel worker output for row loops. Workers are pure functions of
+// their [m*kMorselRows, (m+1)*kMorselRows) input range: they write cells
+// here and touch no shared state, so the coordinator can replay the
+// interrupt checks in enumeration order afterwards and concatenate the
+// slots in that order.
 struct MorselSlot {
   std::vector<Cell> cells;
   size_t num_rows = 0;
   bool started = false;
-  Status status;         // first worker-side row error, if any
-  size_t error_row = 0;  // global row id where `status` arose
 };
 
-void ConcatSlots(const std::vector<MorselSlot>& slots, Chunk* out) {
+// Appends the slots to the empty `out` in morsel order. The first slot's
+// cells are moved rather than copied, and each later slot is released as
+// soon as it is copied, so slots and output overlap as little as possible.
+void ConcatSlots(std::vector<MorselSlot>* slots, Chunk* out) {
+  if (slots->empty()) return;
   size_t total = 0;
-  for (const MorselSlot& s : slots) total += s.cells.size();
-  out->cells.reserve(out->cells.size() + total);
-  for (const MorselSlot& s : slots) {
-    out->cells.insert(out->cells.end(), s.cells.begin(), s.cells.end());
+  for (const MorselSlot& s : *slots) {
+    total += s.cells.size();
     out->num_rows += s.num_rows;
+  }
+  out->cells = std::move(slots->front().cells);
+  out->cells.reserve(total);
+  for (size_t m = 1; m < slots->size(); ++m) {
+    std::vector<Cell>& cells = (*slots)[m].cells;
+    out->cells.insert(out->cells.end(), cells.begin(), cells.end());
+    std::vector<Cell>().swap(cells);
   }
 }
 
 // One aggregate accumulator. Aggregation is defined as per-morsel
-// partials merged in morsel order at *every* thread count (including the
-// serial path), so floating-point sums are reproducible by construction:
-// the reduction tree depends only on the input, never on scheduling.
+// partials merged in morsel order at every thread count, so
+// floating-point sums are reproducible by construction: the reduction
+// tree depends only on the input, never on scheduling.
 struct AggAcc {
   int64_t count = 0;
   int64_t isum = 0;       // exact integer sum (no reals seen)
@@ -542,7 +532,6 @@ class ExecState {
         metrics_(metrics),
         governor_(options.governor),
         capture_timing_(options.capture_timing),
-        vectorized_(options.vectorized_scan),
         snapshot_(options.snapshot),
         cancel_(options.cancel),
         faults_(options.faults),
@@ -672,18 +661,16 @@ class ExecState {
 
   // Batch-boundary poll for morsel-structured loops (heap/view scans,
   // hash-join probe, aggregate): the exec.morsel fault site fires once
-  // per morsel, then the usual interrupts. Always called in strict
-  // enumeration order of `base` — inline on the serial path, replayed by
-  // the coordinator after the workers on the parallel path — so an armed
-  // fault's nth hit lands on the same morsel at any thread count.
+  // per morsel, then the usual interrupts. Always called by the
+  // coordinator after the workers, in strict enumeration order of `base`,
+  // so an armed fault's nth hit lands on the same morsel at any thread
+  // count.
   Status CheckScanBoundary(size_t base) {
     if (base % kMorselRows == 0 && faults_ != nullptr) {
       XS_RETURN_IF_ERROR(faults_->Check(kFaultSiteExecMorsel));
     }
     return CheckBatchInterrupts();
   }
-
-  bool parallel() const { return num_threads_ > 1; }
 
   // Workers poll this to skip speculative work once the run is doomed.
   // Purely an optimization: correctness comes from the replay below.
@@ -698,26 +685,20 @@ class ExecState {
     };
   }
 
-  // Replays the serial loop's per-batch interrupt checks after a
-  // ParallelFor over morsel slots, in enumeration order, surfacing any
-  // worker-side row error after the checks of the batch it arose in —
-  // exactly where the serial loop would have returned it. All scan
-  // charges precede the dispatch, so the coordinator performing every
-  // check (and the workers performing none) keeps metering, fault hit
-  // counts, and trip points bit-identical to the serial path.
+  // Replays the per-batch interrupt checks of a row loop over `n` input
+  // rows after a ParallelFor over its morsel slots, in enumeration order.
+  // All of an operator's charges precede the dispatch, so the
+  // coordinator performing every check (and the workers performing none)
+  // keeps metering, fault hit counts, and trip points independent of the
+  // thread count.
   Status ReplayScanChecks(size_t n, const std::vector<MorselSlot>& slots) {
     for (size_t base = 0; base < n; base += kScanBatchRows) {
       XS_RETURN_IF_ERROR(CheckScanBoundary(base));
-      const MorselSlot& s = slots[base / kMorselRows];
-      if (!s.started) {
+      if (!slots[base / kMorselRows].started) {
         // No charges happen while workers run, so the governor cannot
         // newly trip mid-dispatch; only cooperative cancellation leaves
-        // a morsel unstarted. Surface the status the serial loop would.
+        // a morsel unstarted.
         return ResourceExhausted("query cancelled");
-      }
-      if (!s.status.ok() && s.error_row >= base &&
-          s.error_row < base + kScanBatchRows) {
-        return s.status;
       }
     }
     return Status::OK();
@@ -726,24 +707,15 @@ class ExecState {
   // Span-structured variant for block-skipping sequential scans: slot m
   // holds span m's output. Every span's lo is block-aligned, so the
   // exec.morsel fault site fires exactly once per *scanned* block, in
-  // span order — skipped blocks are never visited, on the serial path or
-  // here. Within a span the batch checks replay at the same kScanBatchRows
-  // cadence as the serial loop.
+  // span order — skipped blocks are never visited. Within a span the
+  // batch checks replay at the kScanBatchRows cadence.
   Status ReplaySpanChecks(const std::vector<ScanSpan>& spans,
                           const std::vector<MorselSlot>& slots) {
     for (size_t m = 0; m < spans.size(); ++m) {
-      const MorselSlot& s = slots[m];
       for (int64_t base = spans[m].lo; base < spans[m].hi;
            base += static_cast<int64_t>(kScanBatchRows)) {
         XS_RETURN_IF_ERROR(CheckScanBoundary(static_cast<size_t>(base)));
-        if (!s.started) {
-          return ResourceExhausted("query cancelled");
-        }
-        if (!s.status.ok() &&
-            s.error_row >= static_cast<size_t>(base) &&
-            s.error_row < static_cast<size_t>(base) + kScanBatchRows) {
-          return s.status;
-        }
+        if (!slots[m].started) return ResourceExhausted("query cancelled");
       }
     }
     return Status::OK();
@@ -857,96 +829,13 @@ class ExecState {
   Result<Chunk> ExecHeapScan(const PlanNode& node) {
     const Table* table = db_.FindTable(node.object_name);
     if (table == nullptr) return NotFound("table " + node.object_name);
-    // Predicates are compiled on both scan paths: the zone probes that
-    // decide which blocks to skip derive from them, and the skip set
-    // must be identical regardless of how surviving rows are evaluated.
+    // The zone probes that decide which blocks to skip derive from the
+    // compiled predicates.
     XS_ASSIGN_OR_RETURN(std::vector<CompiledPred> preds,
                         CompileTableFilters(node.residual_filters));
     XS_ASSIGN_OR_RETURN(
         ScanLayout layout,
         ChargeAndLayoutScan(node.object_name, *table, MakeZoneProbes(preds)));
-    Chunk out;
-    out.width = static_cast<int>(node.output.size());
-
-    if (!vectorized_) {
-      // Scalar reference path: materialize each row through
-      // ColumnReaders, evaluate the bound filters on Values. Same
-      // charges, same survivors, same cells out as the vectorized path.
-      int ncols = table->schema().num_columns();
-      auto scan_rows = [&](std::vector<ColumnReader>& readers, int64_t lo,
-                           int64_t hi, MorselSlot* s) {
-        Row row(static_cast<size_t>(ncols));
-        for (int64_t rid = lo; rid < hi; ++rid) {
-          for (int c = 0; c < ncols; ++c) {
-            row[static_cast<size_t>(c)] =
-                readers[static_cast<size_t>(c)].GetValue(
-                    static_cast<size_t>(rid), dict_);
-          }
-          bool pass = true;
-          for (const BoundFilter& f : node.residual_filters) {
-            Result<bool> keep = EvalPred(
-                row[static_cast<size_t>(f.ref.column)], f.op, f.literal);
-            if (!keep.ok()) {
-              s->status = keep.status();
-              s->error_row = static_cast<size_t>(rid);
-              return;
-            }
-            if (!*keep) {
-              pass = false;
-              break;
-            }
-          }
-          if (!pass) continue;
-          for (const ColumnSlot& slot : node.output) {
-            s->cells.push_back(readers[static_cast<size_t>(slot.column)].At(
-                static_cast<size_t>(rid)));
-          }
-          ++s->num_rows;
-        }
-      };
-      auto make_readers = [&]() {
-        std::vector<ColumnReader> readers;
-        readers.reserve(static_cast<size_t>(ncols));
-        for (int c = 0; c < ncols; ++c) {
-          readers.emplace_back(table->column(c), read_mode_);
-        }
-        return readers;
-      };
-      if (parallel()) {
-        // Morsel-parallel scalar scan: one span per slot, each worker
-        // owns its readers (and their decode scratch); errors carry the
-        // global row id so the replay surfaces them serially.
-        std::vector<MorselSlot> slots(layout.spans.size());
-        ParallelFor(
-            num_threads_, static_cast<int>(slots.size()),
-            [&](int m) {
-              MorselSlot& s = slots[static_cast<size_t>(m)];
-              s.started = true;
-              std::vector<ColumnReader> readers = make_readers();
-              ScanSpan span = layout.spans[static_cast<size_t>(m)];
-              scan_rows(readers, span.lo, span.hi, &s);
-            },
-            StopPredicate());
-        XS_RETURN_IF_ERROR(ReplaySpanChecks(layout.spans, slots));
-        ConcatSlots(slots, &out);
-        return out;
-      }
-      std::vector<ColumnReader> readers = make_readers();
-      for (const ScanSpan& span : layout.spans) {
-        for (int64_t base = span.lo; base < span.hi;
-             base += static_cast<int64_t>(kScanBatchRows)) {
-          XS_RETURN_IF_ERROR(CheckScanBoundary(static_cast<size_t>(base)));
-          int64_t lim =
-              std::min(span.hi, base + static_cast<int64_t>(kScanBatchRows));
-          MorselSlot s;
-          scan_rows(readers, base, lim, &s);
-          if (!s.status.ok()) return s.status;
-          out.cells.insert(out.cells.end(), s.cells.begin(), s.cells.end());
-          out.num_rows += s.num_rows;
-        }
-      }
-      return out;
-    }
 
     // Cursor per unique column the scan touches: predicate columns
     // first, then output columns. Workers construct their own cursor
@@ -967,88 +856,58 @@ class ExecState {
     for (const ColumnSlot& slot : node.output) {
       out_cur.push_back(cursor_of(slot.column));
     }
-    auto make_cursors = [&]() {
-      std::vector<BlockCursor> cursors;
-      cursors.reserve(cursor_cols.size());
-      for (int c : cursor_cols) {
-        cursors.emplace_back(table->column(c), read_mode_);
-      }
-      return cursors;
-    };
 
-    // One batch of the vectorized scan: filter rows [base, base+lim) —
-    // always within one block — through the compiled predicate chain
-    // into `sel`, then gather the survivors' output cells. Pure function
-    // of the batch, shared by the serial loop and the parallel workers,
-    // so survivors and cell order are identical by construction.
-    auto scan_batch = [&](std::vector<BlockCursor>& cursors, size_t base,
-                          size_t lim, int32_t* sel,
-                          std::vector<Cell>* cells) -> size_t {
-      size_t block = base / kStorageBlockRows;
-      size_t cnt;
-      if (preds.empty()) {
-        cnt = lim;
-        for (size_t i = 0; i < lim; ++i) sel[i] = static_cast<int32_t>(i);
-      } else {
-        BlockView v = cursors[static_cast<size_t>(pred_cur[0])].Read(block);
-        cnt = ApplyPredBatch(v.tags + (base - v.base),
-                             v.data + (base - v.base), lim, sel,
-                             /*dense=*/true, preds[0], dict_);
-        for (size_t k = 1; k < preds.size() && cnt > 0; ++k) {
-          BlockView vk =
-              cursors[static_cast<size_t>(pred_cur[k])].Read(block);
-          cnt = ApplyPredBatch(vk.tags + (base - vk.base),
-                               vk.data + (base - vk.base), cnt, sel,
-                               /*dense=*/false, preds[k], dict_);
-        }
-      }
-      for (size_t i = 0; i < cnt; ++i) {
-        size_t rid = base + static_cast<size_t>(sel[i]);
-        for (int cu : out_cur) {
-          BlockView v = cursors[static_cast<size_t>(cu)].Read(block);
-          cells->push_back(Cell{v.tags[rid - v.base], v.data[rid - v.base]});
-        }
-      }
-      return cnt;
-    };
-
-    if (parallel()) {
-      std::vector<MorselSlot> slots(layout.spans.size());
-      ParallelFor(
-          num_threads_, static_cast<int>(slots.size()),
-          [&](int m) {
-            MorselSlot& s = slots[static_cast<size_t>(m)];
-            s.started = true;
-            ScanSpan span = layout.spans[static_cast<size_t>(m)];
-            std::vector<BlockCursor> cursors = make_cursors();
-            std::vector<int32_t> sel(kScanBatchRows);
-            for (int64_t base = span.lo; base < span.hi;
-                 base += static_cast<int64_t>(kScanBatchRows)) {
-              size_t lim = static_cast<size_t>(
-                  std::min(span.hi - base,
-                           static_cast<int64_t>(kScanBatchRows)));
-              s.num_rows += scan_batch(cursors, static_cast<size_t>(base),
-                                       lim, sel.data(), &s.cells);
+    // One slot per span. A span lies within one block, so each predicate
+    // runs column-at-a-time over the whole span into `sel` (dense first
+    // pass, in-place compaction for later conjuncts), and only then are
+    // the survivors' output cells gathered, into a slot allocated once at
+    // its exact size.
+    std::vector<MorselSlot> slots(layout.spans.size());
+    ParallelFor(
+        num_threads_, static_cast<int>(slots.size()),
+        [&](int m) {
+          MorselSlot& s = slots[static_cast<size_t>(m)];
+          s.started = true;
+          ScanSpan span = layout.spans[static_cast<size_t>(m)];
+          size_t base = static_cast<size_t>(span.lo);
+          size_t lim = static_cast<size_t>(span.hi - span.lo);
+          size_t block = base / kStorageBlockRows;
+          std::vector<BlockCursor> cursors;
+          cursors.reserve(cursor_cols.size());
+          for (int c : cursor_cols) {
+            cursors.emplace_back(table->column(c), read_mode_);
+          }
+          std::vector<int32_t> sel(lim);
+          size_t cnt = lim;
+          if (preds.empty()) std::iota(sel.begin(), sel.end(), 0);
+          for (size_t k = 0; k < preds.size() && cnt > 0; ++k) {
+            BlockView v =
+                cursors[static_cast<size_t>(pred_cur[k])].Read(block);
+            cnt = ApplyPredBatch(v.tags + (base - v.base),
+                                 v.data + (base - v.base), cnt, sel.data(),
+                                 /*dense=*/k == 0, preds[k], dict_);
+          }
+          s.num_rows = cnt;
+          if (cnt == 0) return;  // no survivors: decode no output column
+          std::vector<BlockView> views;
+          views.reserve(out_cur.size());
+          for (int cu : out_cur) {
+            views.push_back(cursors[static_cast<size_t>(cu)].Read(block));
+          }
+          s.cells.reserve(cnt * views.size());
+          for (size_t i = 0; i < cnt; ++i) {
+            size_t rid = base + static_cast<size_t>(sel[i]);
+            for (const BlockView& v : views) {
+              s.cells.push_back(
+                  Cell{v.tags[rid - v.base], v.data[rid - v.base]});
             }
-          },
-          StopPredicate());
-      XS_RETURN_IF_ERROR(ReplaySpanChecks(layout.spans, slots));
-      ConcatSlots(slots, &out);
-      return out;
-    }
-
-    std::vector<BlockCursor> cursors = make_cursors();
-    std::vector<int32_t> sel(kScanBatchRows);
-    for (const ScanSpan& span : layout.spans) {
-      for (int64_t base = span.lo; base < span.hi;
-           base += static_cast<int64_t>(kScanBatchRows)) {
-        XS_RETURN_IF_ERROR(CheckScanBoundary(static_cast<size_t>(base)));
-        size_t lim = static_cast<size_t>(std::min(
-            span.hi - base, static_cast<int64_t>(kScanBatchRows)));
-        out.num_rows += scan_batch(cursors, static_cast<size_t>(base), lim,
-                                   sel.data(), &out.cells);
-      }
-    }
+          }
+        },
+        StopPredicate());
+    XS_RETURN_IF_ERROR(ReplaySpanChecks(layout.spans, slots));
+    Chunk out;
+    out.width = static_cast<int>(node.output.size());
+    ConcatSlots(&slots, &out);
     return out;
   }
 
@@ -1242,49 +1101,30 @@ class ExecState {
     size_t width = static_cast<size_t>(out.width);
     size_t n = static_cast<size_t>(layout.scanned_rows);
     out.num_rows = n;
-    auto make_readers = [&]() {
-      std::vector<ColumnReader> readers;
-      readers.reserve(width);
-      for (int c = 0; c < out.width; ++c) {
-        readers.emplace_back(view->column(c), read_mode_);
-      }
-      return readers;
-    };
-    if (parallel()) {
-      // Every visible row is copied verbatim, so workers write disjoint
-      // [rid*width, ...) ranges of the preallocated output directly; the
-      // slots only track started/error state for the check replay.
-      out.cells.resize(n * width);
-      std::vector<MorselSlot> slots(layout.spans.size());
-      ParallelFor(
-          num_threads_, static_cast<int>(slots.size()),
-          [&](int m) {
-            slots[static_cast<size_t>(m)].started = true;
-            ScanSpan span = layout.spans[static_cast<size_t>(m)];
-            std::vector<ColumnReader> readers = make_readers();
-            for (int64_t rid = span.lo; rid < span.hi; ++rid) {
-              for (size_t c = 0; c < width; ++c) {
-                out.cells[static_cast<size_t>(rid) * width + c] =
-                    readers[c].At(static_cast<size_t>(rid));
-              }
+    // Every visible row is copied verbatim, so workers write disjoint
+    // [rid*width, ...) ranges of the preallocated output directly; the
+    // slots only track started state for the check replay.
+    out.cells.resize(n * width);
+    std::vector<MorselSlot> slots(layout.spans.size());
+    ParallelFor(
+        num_threads_, static_cast<int>(slots.size()),
+        [&](int m) {
+          slots[static_cast<size_t>(m)].started = true;
+          ScanSpan span = layout.spans[static_cast<size_t>(m)];
+          std::vector<ColumnReader> readers;
+          readers.reserve(width);
+          for (int c = 0; c < out.width; ++c) {
+            readers.emplace_back(view->column(c), read_mode_);
+          }
+          for (int64_t rid = span.lo; rid < span.hi; ++rid) {
+            for (size_t c = 0; c < width; ++c) {
+              out.cells[static_cast<size_t>(rid) * width + c] =
+                  readers[c].At(static_cast<size_t>(rid));
             }
-          },
-          StopPredicate());
-      XS_RETURN_IF_ERROR(ReplaySpanChecks(layout.spans, slots));
-      return out;
-    }
-    out.ReserveRows(n);
-    std::vector<ColumnReader> readers = make_readers();
-    for (const ScanSpan& span : layout.spans) {
-      for (int64_t rid = span.lo; rid < span.hi; ++rid) {
-        if (rid % static_cast<int64_t>(kScanBatchRows) == 0) {
-          XS_RETURN_IF_ERROR(CheckScanBoundary(static_cast<size_t>(rid)));
-        }
-        for (size_t c = 0; c < width; ++c) {
-          out.cells.push_back(readers[c].At(static_cast<size_t>(rid)));
-        }
-      }
-    }
+          }
+        },
+        StopPredicate());
+    XS_RETURN_IF_ERROR(ReplaySpanChecks(layout.spans, slots));
     return out;
   }
 
@@ -1411,25 +1251,18 @@ class ExecState {
     size_t bn = build.num_rows;
     std::vector<uint8_t> bcls(bn, 0);
     std::vector<uint64_t> bkey(bn, 0);
-    if (parallel()) {
-      // Key normalization is a pure per-row function into disjoint array
-      // slots; the chain linking below stays serial (it is a sequential
-      // dependence and fixes the deterministic ascending chain order).
-      ParallelFor(num_threads_, static_cast<int>(NumMorsels(bn)),
-                  [&](int m) {
-                    size_t lo = static_cast<size_t>(m) * kMorselRows;
-                    size_t hi = std::min(bn, lo + kMorselRows);
-                    for (size_t i = lo; i < hi; ++i) {
-                      Cell c = build.row(i)[static_cast<size_t>(build_pos)];
-                      NormalizeJoinKey(c, &bcls[i], &bkey[i]);
-                    }
-                  });
-    } else {
-      for (size_t i = 0; i < bn; ++i) {
+    // Key normalization is a pure per-row function into disjoint array
+    // slots (cls stays 0 on NULL/NaN); the chain linking below runs on the
+    // coordinator (it is a sequential dependence and fixes the
+    // deterministic ascending chain order).
+    ParallelFor(num_threads_, static_cast<int>(NumMorsels(bn)), [&](int m) {
+      size_t lo = static_cast<size_t>(m) * kMorselRows;
+      size_t hi = std::min(bn, lo + kMorselRows);
+      for (size_t i = lo; i < hi; ++i) {
         Cell c = build.row(i)[static_cast<size_t>(build_pos)];
-        NormalizeJoinKey(c, &bcls[i], &bkey[i]);  // cls stays 0 on NULL/NaN
+        NormalizeJoinKey(c, &bcls[i], &bkey[i]);
       }
-    }
+    });
     size_t nbuckets = 16;
     while (nbuckets < bn) nbuckets <<= 1;
     uint64_t mask = nbuckets - 1;
@@ -1444,10 +1277,9 @@ class ExecState {
     XS_RETURN_IF_ERROR(ChargeHashRows(static_cast<double>(build.num_rows)));
 
     // Probes one row against the (now frozen) table, appending matches in
-    // ascending build order. Shared by the serial loop and the parallel
-    // workers, each of which probes a disjoint probe-row range into its
-    // own slot — concatenating slots in morsel order reproduces the
-    // serial (probe-major, build-ascending) match order exactly.
+    // ascending build order. Each worker probes a disjoint probe-row range
+    // into its own slot, so concatenating the slots in morsel order gives
+    // the probe-major, build-ascending match order at any thread count.
     auto probe_row = [&](size_t r, std::vector<Cell>* cells,
                          size_t* rows) {
       const Cell* prow = probe.row(r);
@@ -1468,33 +1300,24 @@ class ExecState {
       }
     };
 
+    size_t pn = probe.num_rows;
+    std::vector<MorselSlot> slots(NumMorsels(pn));
+    ParallelFor(
+        num_threads_, static_cast<int>(slots.size()),
+        [&](int m) {
+          MorselSlot& s = slots[static_cast<size_t>(m)];
+          s.started = true;
+          size_t lo = static_cast<size_t>(m) * kMorselRows;
+          size_t hi = std::min(pn, lo + kMorselRows);
+          for (size_t r = lo; r < hi; ++r) {
+            probe_row(r, &s.cells, &s.num_rows);
+          }
+        },
+        StopPredicate());
+    XS_RETURN_IF_ERROR(ReplayScanChecks(pn, slots));
     Chunk out;
     out.width = probe.width + build.width;
-    size_t pn = probe.num_rows;
-    if (parallel()) {
-      std::vector<MorselSlot> slots(NumMorsels(pn));
-      ParallelFor(
-          num_threads_, static_cast<int>(slots.size()),
-          [&](int m) {
-            MorselSlot& s = slots[static_cast<size_t>(m)];
-            s.started = true;
-            size_t lo = static_cast<size_t>(m) * kMorselRows;
-            size_t hi = std::min(pn, lo + kMorselRows);
-            for (size_t r = lo; r < hi; ++r) {
-              probe_row(r, &s.cells, &s.num_rows);
-            }
-          },
-          StopPredicate());
-      XS_RETURN_IF_ERROR(ReplayScanChecks(pn, slots));
-      ConcatSlots(slots, &out);
-    } else {
-      for (size_t r = 0; r < pn; ++r) {
-        if (r % kScanBatchRows == 0) {
-          XS_RETURN_IF_ERROR(CheckScanBoundary(r));
-        }
-        probe_row(r, &out.cells, &out.num_rows);
-      }
-    }
+    ConcatSlots(&slots, &out);
     XS_RETURN_IF_ERROR(ChargeHashRows(static_cast<double>(probe.num_rows)));
     XS_RETURN_IF_ERROR(ChargeCpuRows(static_cast<double>(out.num_rows)));
     return out;
@@ -1530,10 +1353,9 @@ class ExecState {
 
   // Scalar aggregation (no GROUP BY): folds the child's rows into one
   // output row of COUNT/SUM/MIN/MAX cells. The reduction is defined as
-  // per-morsel partials merged in morsel order at *every* thread count —
-  // the serial path accumulates into the same per-morsel partials the
-  // workers would fill — so floating-point SUMs are bit-identical
-  // regardless of ExecOptions::exec_threads.
+  // per-morsel partials merged in morsel order at every thread count, so
+  // floating-point SUMs are bit-identical regardless of
+  // ExecOptions::exec_threads.
   Result<Chunk> ExecAggregate(const PlanNode& node, ExplainNode* en) {
     XS_ASSIGN_OR_RETURN(Chunk input, Exec(*node.children[0], Child(en, 0)));
     const PlanNode& child = *node.children[0];
@@ -1561,38 +1383,27 @@ class ExecState {
     size_t nspec = specs.size();
     size_t nm = NumMorsels(n);
     std::vector<AggAcc> partials(nm * nspec);
-    auto fold_rows = [&](size_t m, size_t lo, size_t hi) {
-      AggAcc* acc = partials.data() + m * nspec;
-      for (size_t r = lo; r < hi; ++r) {
-        const Cell* row = input.row(r);
-        for (size_t j = 0; j < nspec; ++j) {
-          if (specs[j].func == AggFunc::kNone) continue;
-          Cell c = specs[j].pos < 0
-                       ? Cell{}
-                       : row[static_cast<size_t>(specs[j].pos)];
-          UpdateAgg(specs[j].func, &acc[j], c, dict_);
-        }
-      }
-    };
-    if (parallel()) {
-      std::vector<MorselSlot> slots(nm);
-      ParallelFor(
-          num_threads_, static_cast<int>(nm),
-          [&](int m) {
-            slots[static_cast<size_t>(m)].started = true;
-            size_t lo = static_cast<size_t>(m) * kMorselRows;
-            fold_rows(static_cast<size_t>(m), lo,
-                      std::min(n, lo + kMorselRows));
-          },
-          StopPredicate());
-      XS_RETURN_IF_ERROR(ReplayScanChecks(n, slots));
-    } else {
-      for (size_t base = 0; base < n; base += kScanBatchRows) {
-        XS_RETURN_IF_ERROR(CheckScanBoundary(base));
-        fold_rows(base / kMorselRows, base,
-                  std::min(n, base + kScanBatchRows));
-      }
-    }
+    std::vector<MorselSlot> slots(nm);
+    ParallelFor(
+        num_threads_, static_cast<int>(nm),
+        [&](int m) {
+          slots[static_cast<size_t>(m)].started = true;
+          AggAcc* acc = partials.data() + static_cast<size_t>(m) * nspec;
+          size_t lo = static_cast<size_t>(m) * kMorselRows;
+          size_t hi = std::min(n, lo + kMorselRows);
+          for (size_t r = lo; r < hi; ++r) {
+            const Cell* row = input.row(r);
+            for (size_t j = 0; j < nspec; ++j) {
+              if (specs[j].func == AggFunc::kNone) continue;
+              Cell c = specs[j].pos < 0
+                           ? Cell{}
+                           : row[static_cast<size_t>(specs[j].pos)];
+              UpdateAgg(specs[j].func, &acc[j], c, dict_);
+            }
+          }
+        },
+        StopPredicate());
+    XS_RETURN_IF_ERROR(ReplayScanChecks(n, slots));
 
     Chunk out;
     out.width = static_cast<int>(nspec);
@@ -1644,9 +1455,12 @@ class ExecState {
     // Value::TotalLess exactly without touching string data. Key encoding
     // and the output permute below are per-row pure functions into
     // disjoint slots, so they parallelize without affecting the result;
-    // the stable_sort itself stays serial (its output is unique anyway).
+    // the stable_sort itself runs on the coordinator (its output is
+    // unique anyway).
     std::vector<SortKey> keys(n * nord);
-    auto encode_rows = [&](size_t lo, size_t hi) {
+    ParallelFor(num_threads_, static_cast<int>(NumMorsels(n)), [&](int m) {
+      size_t lo = static_cast<size_t>(m) * kMorselRows;
+      size_t hi = std::min(n, lo + kMorselRows);
       for (size_t r = lo; r < hi; ++r) {
         const Cell* row = input.row(r);
         for (size_t j = 0; j < nord; ++j) {
@@ -1654,16 +1468,7 @@ class ExecState {
               EncodeCellKey(row[static_cast<size_t>(ords[j])], dict_);
         }
       }
-    };
-    if (parallel()) {
-      ParallelFor(num_threads_, static_cast<int>(NumMorsels(n)),
-                  [&](int m) {
-                    size_t lo = static_cast<size_t>(m) * kMorselRows;
-                    encode_rows(lo, std::min(n, lo + kMorselRows));
-                  });
-    } else {
-      encode_rows(0, n);
-    }
+    });
     std::vector<int64_t> perm(n);
     std::iota(perm.begin(), perm.end(), 0);
     std::stable_sort(perm.begin(), perm.end(),
@@ -1681,27 +1486,16 @@ class ExecState {
     Chunk out;
     out.width = input.width;
     out.num_rows = n;
-    if (parallel()) {
-      size_t width = static_cast<size_t>(input.width);
-      out.cells.resize(n * width);
-      ParallelFor(num_threads_, static_cast<int>(NumMorsels(n)),
-                  [&](int m) {
-                    size_t lo = static_cast<size_t>(m) * kMorselRows;
-                    size_t hi = std::min(n, lo + kMorselRows);
-                    for (size_t r = lo; r < hi; ++r) {
-                      const Cell* row =
-                          input.row(static_cast<size_t>(perm[r]));
-                      std::copy(row, row + width,
-                                out.cells.data() + r * width);
-                    }
-                  });
-      return out;
-    }
-    out.ReserveRows(n);
-    for (size_t r = 0; r < n; ++r) {
-      const Cell* row = input.row(static_cast<size_t>(perm[r]));
-      out.cells.insert(out.cells.end(), row, row + input.width);
-    }
+    size_t width = static_cast<size_t>(input.width);
+    out.cells.resize(n * width);
+    ParallelFor(num_threads_, static_cast<int>(NumMorsels(n)), [&](int m) {
+      size_t lo = static_cast<size_t>(m) * kMorselRows;
+      size_t hi = std::min(n, lo + kMorselRows);
+      for (size_t r = lo; r < hi; ++r) {
+        const Cell* row = input.row(static_cast<size_t>(perm[r]));
+        std::copy(row, row + width, out.cells.data() + r * width);
+      }
+    });
     return out;
   }
 
@@ -1710,7 +1504,6 @@ class ExecState {
   ExecMetrics* metrics_;
   ResourceGovernor* governor_;
   bool capture_timing_;
-  bool vectorized_;
   const EpochSnapshot* snapshot_;
   const std::atomic<bool>* cancel_;
   FaultInjector* faults_;

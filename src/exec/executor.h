@@ -26,16 +26,17 @@ class FaultInjector;
 class MetricsRegistry;
 struct ExplainNode;
 
-// Rows per vectorized scan batch: filters run column-at-a-time over one
-// batch into a selection vector before any output row is materialized.
+// Rows per interrupt batch: row loops poll cancellation, the governor
+// deadline, and fault sites once per batch.
 inline constexpr size_t kScanBatchRows = 1024;
 
-// Rows per parallel-execution morsel (a multiple of kScanBatchRows).
-// Parallel operators split their input into fixed [m*kMorselRows,
-// (m+1)*kMorselRows) ranges, each worker writes into a pre-assigned
-// per-morsel slot, and the coordinator concatenates the slots — and
-// replays every interrupt/fault check — in morsel enumeration order, so
-// output rows, metering, and trip points never depend on scheduling.
+// Rows per execution morsel (a multiple of kScanBatchRows). Scans, hash
+// joins, sorts, and aggregates split their input into fixed
+// [m*kMorselRows, (m+1)*kMorselRows) ranges run through ParallelFor
+// (inline at one thread); each morsel writes into a pre-assigned slot,
+// and the coordinator concatenates the slots — and replays every
+// interrupt/fault check — in morsel enumeration order, so output rows,
+// metering, and trip points never depend on the thread count.
 inline constexpr size_t kMorselRows = 4 * kScanBatchRows;
 
 // Per-query view of the work one Run performed. The registry (see
@@ -72,12 +73,6 @@ struct ExecOptions : ExecKnobs {
   // mirror `plan`'s shape. Null = zero recording overhead.
   // (ExecKnobs::capture_timing additionally records wall_ns per node.)
   ExplainNode* explain = nullptr;
-  // When false, sequential scans fall back to row-at-a-time evaluation
-  // (materialize each row, evaluate predicates on Values). Metering,
-  // result rows, and explain actuals are identical either way; the flag
-  // exists so differential tests can pin the vectorized path against the
-  // scalar reference.
-  bool vectorized_scan = true;
   // Epoch snapshot pinned at admission (serving layer). When set, every
   // scan is clamped to the snapshot's visible rows — rows appended after
   // the snapshot was published are invisible, and page charges use the

@@ -77,9 +77,9 @@ class BlockCursor {
   std::vector<uint64_t> data_scratch_;
 };
 
-// Cached random access to individual cells through a BlockCursor; the
-// scalar scan path, index builds/fetches, and the reconstructor read
-// through this instead of ColumnVector::cell(). Sequential row-id access
+// Cached random access to individual cells through a BlockCursor; view
+// scans, index builds/fetches, and the reconstructor read through this
+// instead of ColumnVector::cell(). Sequential row-id access
 // decodes each block once.
 class ColumnReader {
  public:

@@ -82,8 +82,9 @@ Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
   exec_options.metrics = exec.metrics;
   exec_options.capture_timing = options.capture_timing;
   // Morsel workers per query (bit-identical results at any value, so
-  // evaluation totals are unaffected); <= 1 stays serial. The context
-  // overrides the options-struct default, as everywhere else.
+  // evaluation totals are unaffected); <= 1 runs the morsels on this
+  // thread. The context overrides the options-struct default, as
+  // everywhere else.
   exec_options.exec_threads =
       exec.exec_threads > 0 ? exec.exec_threads : options.exec_threads;
   // Explain trees are cheap (one small node per operator); build them

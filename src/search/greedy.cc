@@ -14,7 +14,6 @@
 #include "mapping/transforms.h"
 #include "opt/planner.h"
 #include "search/candidates.h"
-#include "search/cost_cache.h"
 #include "xpath/translator.h"
 
 namespace xmlshred {
@@ -33,8 +32,8 @@ Result<std::vector<double>> BaseQueryCosts(const DesignProblem& problem,
   for (const WeightedQuery& wq : workload) {
     // Mandatory costing: the merge heuristic needs every base cost, so the
     // charge is recorded but exhaustion does not abort it.
-    if (EffectiveGovernor(problem) != nullptr) {
-      (void)EffectiveGovernor(problem)->ChargeWork(1.0);
+    if (problem.exec.governor != nullptr) {
+      (void)problem.exec.governor->ChargeWork(1.0);
     }
     XS_ASSIGN_OR_RETURN(BoundQuery bound, BindQuery(wq.query, catalog));
     XS_ASSIGN_OR_RETURN(PlannedQuery planned, PlanQuery(bound, catalog));
@@ -103,30 +102,55 @@ Result<CurrentState> FullCost(const DesignProblem& problem,
                    ComputeUpdateRates(problem, *tree, state.mapping)));
   state.cost = state.config.total_cost;
   state.tree = std::move(tree);
-  if (telemetry != nullptr) {
-    ++telemetry->tuner_calls;
-    telemetry->optimizer_calls += state.config.optimizer_calls;
-    telemetry->whatif_rollbacks += state.config.whatif_rollbacks;
-    telemetry->advisor_candidates_skipped += state.config.candidates_skipped;
-  }
+  if (telemetry != nullptr) CountTunerCall(state.config, telemetry);
   return state;
 }
 
 // Whether the problem's budget or deadline has run out — the signal for
 // every search loop to stop and return its best-so-far state.
 bool OutOfBudget(const DesignProblem& problem) {
-  ResourceGovernor* governor = EffectiveGovernor(problem);
+  ResourceGovernor* governor = problem.exec.governor;
   return governor != nullptr &&
          (governor->exhausted() || !governor->CheckDeadline().ok());
 }
 
-// Records end-of-search budget telemetry on `result`.
-void FinishBudgetTelemetry(const DesignProblem& problem,
-                           SearchResult* result) {
-  if (EffectiveGovernor(problem) != nullptr) {
-    result->telemetry.work_spent = EffectiveGovernor(problem)->work_spent();
+// Fig. 3 line 18: re-estimates the chosen mapping without derivation and
+// makes it the current state. A failure (budget, injected fault) keeps the
+// previous fully costed state rather than losing the search's progress;
+// returns false when the search must stop.
+bool Advance(const DesignProblem& problem, std::unique_ptr<SchemaTree> tree,
+             CurrentState* current, SearchResult* result) {
+  Result<CurrentState> next =
+      FullCost(problem, std::move(tree), &result->telemetry);
+  if (!next.ok()) {
+    if (next.status().code() == StatusCode::kResourceExhausted) {
+      result->truncated = true;
+    } else {
+      ++result->telemetry.candidates_skipped;
+    }
+    return false;
+  }
+  *current = std::move(*next);
+  return true;
+}
+
+// Moves the final state into `result`, records the end-of-search budget
+// and timing telemetry, and publishes the run (FinalizeSearchResult).
+void FinishSearch(const DesignProblem& problem, CurrentState state,
+                  std::chrono::steady_clock::time_point start,
+                  SearchResult* result) {
+  result->tree = std::move(state.tree);
+  result->mapping = std::move(state.mapping);
+  result->configuration = std::move(state.config);
+  result->estimated_cost = state.cost;
+  if (problem.exec.governor != nullptr) {
+    result->telemetry.work_spent = problem.exec.governor->work_spent();
   }
   if (result->configuration.truncated) result->truncated = true;
+  result->telemetry.elapsed_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  FinalizeSearchResult(problem, result);
 }
 
 // The worker count actually used: exec.num_threads when positive, else
@@ -155,15 +179,11 @@ std::string RepetitionElementName(const SchemaTree& tree,
 // against `current` when enabled. Safe to call from concurrent workers:
 // every mutable object (mapping, catalog, advisor, translations) is local
 // to the call — each worker costs against its own what-if catalog clone —
-// and the shared pieces (`problem`, `current`, the derivation cache) are
-// only read or accessed through thread-safe APIs. `current_fp` is the
-// fingerprint of `current`'s mapping; `cache` (optional) memoizes per-
-// query derivations so workers reuse each other's proofs.
+// and the shared pieces (`problem`, `current`) are only read.
 Result<double> CostCandidate(const DesignProblem& problem,
                              const SchemaTree& cand_tree,
                              const CurrentState& current,
                              const Transform& candidate, bool cost_derivation,
-                             uint64_t current_fp, CostDerivationCache* cache,
                              SearchTelemetry* telemetry) {
   XS_ASSIGN_OR_RETURN(Mapping mapping, Mapping::Build(cand_tree));
   CatalogDesc catalog = problem.stats->DeriveCatalog(cand_tree, mapping);
@@ -178,10 +198,7 @@ Result<double> CostCandidate(const DesignProblem& problem,
   if (!cost_derivation) {
     XS_ASSIGN_OR_RETURN(TunerResult config,
                         advisor.Tune(translations, catalog, 0, rates));
-    ++telemetry->tuner_calls;
-    telemetry->optimizer_calls += config.optimizer_calls;
-    telemetry->whatif_rollbacks += config.whatif_rollbacks;
-    telemetry->advisor_candidates_skipped += config.candidates_skipped;
+    CountTunerCall(config, telemetry);
     return config.total_cost;
   }
 
@@ -189,15 +206,6 @@ Result<double> CostCandidate(const DesignProblem& problem,
       ChangedRelations(current.mapping, mapping);
   std::string rep_element =
       RepetitionElementName(*current.tree, candidate);
-  // Cache key per (current state, candidate, query). The repetition
-  // element participates because the §4.8 decision below depends on it:
-  // two transforms yielding the same mapping can still derive different
-  // query sets when one is a repetition split and the other is not.
-  uint64_t cand_key =
-      cache != nullptr
-          ? DerivationKey(MappingFingerprint(mapping),
-                          std::hash<std::string>{}(rep_element), 0)
-          : 0;
 
   auto object_pages = [&current](const std::string& name) -> int64_t {
     for (const IndexDesc& idx : current.config.indexes) {
@@ -211,25 +219,8 @@ Result<double> CostCandidate(const DesignProblem& problem,
   double derived_cost = 0;
   int64_t reserved = 0;
   std::vector<WeightedQuery> remaining;
-  std::vector<size_t> remaining_idx;
   int derived_count = 0;
-  int cache_hits = 0;
   for (size_t i = 0; i < translations.size(); ++i) {
-    if (cache != nullptr) {
-      std::optional<CostDerivationCache::Entry> memo =
-          cache->Lookup(DerivationKey(current_fp, cand_key, i));
-      if (memo.has_value()) {
-        // Another worker (or an earlier candidate with the same
-        // fingerprint) already proved this query derivable; the memo is a
-        // pure function of the key, so reusing it is bit-identical to
-        // rerunning the analysis below.
-        derived_cost += translations[i].weight * memo->query_cost;
-        reserved += memo->reserved_pages;
-        ++derived_count;
-        ++cache_hits;
-        continue;
-      }
-    }
     const std::set<std::string>& new_tables =
         QueryTables(translations[i].query);
     const std::set<std::string>& old_tables = current.query_tables[i];
@@ -261,34 +252,147 @@ Result<double> CostCandidate(const DesignProblem& problem,
       }
     }
     if (untouched) {
-      int64_t query_reserved = 0;
       for (const std::string& obj : current.config.query_objects[i]) {
-        query_reserved += object_pages(obj);
+        reserved += object_pages(obj);
       }
       derived_cost +=
           translations[i].weight * current.config.query_costs[i];
-      reserved += query_reserved;
       ++derived_count;
-      if (cache != nullptr) {
-        cache->Insert(DerivationKey(current_fp, cand_key, i),
-                      {current.config.query_costs[i], query_reserved});
-      }
     } else {
       remaining.push_back(translations[i]);
-      remaining_idx.push_back(i);
     }
   }
   telemetry->queries_derived += derived_count;
-  telemetry->derivation_cache_hits += cache_hits;
 
   if (remaining.empty()) return derived_cost;
   XS_ASSIGN_OR_RETURN(TunerResult config,
                       advisor.Tune(remaining, catalog, reserved, rates));
-  ++telemetry->tuner_calls;
-  telemetry->optimizer_calls += config.optimizer_calls;
-  telemetry->whatif_rollbacks += config.whatif_rollbacks;
-  telemetry->advisor_candidates_skipped += config.candidates_skipped;
+  CountTunerCall(config, telemetry);
   return derived_cost + config.total_cost;
+}
+
+// Costs one candidate of a search round. `tree` is the worker's own clone
+// of the current tree with the candidate already applied; the step may
+// rewrite it further (into the normal form the algorithm searches), adds
+// the tuner and optimizer calls it makes to `delta`, annotates `span` on
+// success, and returns the candidate's estimated cost.
+using CostStep =
+    std::function<Result<double>(const Transform& candidate, SchemaTree* tree,
+                                 SearchTelemetry* delta, SpanScope* span)>;
+
+struct RoundOutcome {
+  // Position in the round's candidate list of the winner — the first
+  // candidate strictly cheaper than both the current state and every
+  // earlier candidate (1e-9 relative) — or -1 when none improves.
+  int best = -1;
+  double best_cost = 0;
+  std::unique_ptr<SchemaTree> best_tree;
+  // A candidate ran out of budget: the round's best is discarded and the
+  // search keeps its previous fully costed state.
+  bool out_of_budget = false;
+};
+
+// One round of every search algorithm (Fig. 3 lines 7-16; the §5.1.1
+// baselines run the same round over their own candidates and cost step).
+// Each candidate is applied to its own clone of `current_tree` and costed
+// into its own slot through ParallelFor (inline at one thread); workers
+// skip candidates not yet started once the budget trips. The slots are
+// then reduced in enumeration order, so the winner and every tie-break are
+// the same at any thread count (DESIGN.md §8). Every candidate records its
+// spans into its own detached sink, adopted in enumeration order under the
+// round span (DESIGN.md §9). Every candidate that ran is counted and
+// traced, also those after one that tripped the budget; at one thread none
+// runs after a trip. Budget errors end the search; other errors (injected
+// faults, mappings the workload cannot use) only drop their candidate.
+RoundOutcome RunSearchRound(const DesignProblem& problem, int num_threads,
+                            int round, const SchemaTree& current_tree,
+                            double current_cost,
+                            const std::vector<Transform>& candidates,
+                            const CostStep& cost_step,
+                            SearchTelemetry* telemetry) {
+  TraceSink* trace = problem.exec.trace;
+  SpanScope round_span(trace, "search.round");
+  round_span.Attr("round", round);
+  round_span.Attr("candidates", static_cast<int64_t>(candidates.size()));
+  if (problem.exec.metrics != nullptr) {
+    problem.exec.metrics->histogram(kMetricSearchRoundCandidates)
+        ->Observe(static_cast<double>(candidates.size()));
+  }
+
+  struct Slot {
+    bool costed = false;  // applied and costed (cost or error recorded)
+    double cost = 0;
+    Status error;  // non-OK when costing failed
+    std::unique_ptr<SchemaTree> tree;
+    SearchTelemetry delta;  // this candidate's telemetry contribution
+    std::unique_ptr<TraceSink> sink;  // null when the run is untraced
+  };
+  std::vector<Slot> slots(candidates.size());
+  if (trace != nullptr) {
+    for (Slot& slot : slots) {
+      slot.sink = std::make_unique<TraceSink>(trace->capture_timing());
+    }
+  }
+  std::atomic<bool> budget_tripped{false};
+  ParallelFor(
+      num_threads, static_cast<int>(slots.size()),
+      [&](int i) {
+        Slot& slot = slots[static_cast<size_t>(i)];
+        SpanScope span(slot.sink.get(), "search.cost_candidate");
+        span.Attr("index", i);
+        const Transform& candidate = candidates[static_cast<size_t>(i)];
+        std::unique_ptr<SchemaTree> tree = current_tree.Clone();
+        if (!ApplyTransform(tree.get(), candidate).ok()) {
+          span.Attr("applied", false);
+          return;  // no longer applicable
+        }
+        Result<double> cost =
+            cost_step(candidate, tree.get(), &slot.delta, &span);
+        slot.costed = true;
+        if (cost.ok()) {
+          slot.cost = *cost;
+          slot.tree = std::move(tree);
+        } else {
+          slot.error = cost.status();
+          span.Attr("error", slot.error.message());
+          if (slot.error.code() == StatusCode::kResourceExhausted) {
+            budget_tripped.store(true, std::memory_order_release);
+          }
+        }
+      },
+      [&budget_tripped, &problem] {
+        return budget_tripped.load(std::memory_order_acquire) ||
+               OutOfBudget(problem);
+      });
+
+  RoundOutcome outcome;
+  outcome.best_cost = current_cost;
+  for (size_t i = 0; i < slots.size(); ++i) {
+    Slot& slot = slots[i];
+    if (trace != nullptr) trace->Adopt(slot.sink.get());
+    if (!slot.costed) continue;
+    ++telemetry->transformations_searched;
+    telemetry->tuner_calls += slot.delta.tuner_calls;
+    telemetry->optimizer_calls += slot.delta.optimizer_calls;
+    telemetry->queries_derived += slot.delta.queries_derived;
+    telemetry->whatif_rollbacks += slot.delta.whatif_rollbacks;
+    telemetry->advisor_candidates_skipped +=
+        slot.delta.advisor_candidates_skipped;
+    if (!slot.error.ok()) {
+      if (slot.error.code() == StatusCode::kResourceExhausted) {
+        outcome.out_of_budget = true;
+      } else {
+        ++telemetry->candidates_skipped;
+      }
+      continue;
+    }
+    if (slot.cost < outcome.best_cost * (1 - 1e-9)) {
+      outcome.best = static_cast<int>(i);
+      outcome.best_cost = slot.cost;
+      outcome.best_tree = std::move(slot.tree);
+    }
+  }
+  return outcome;
 }
 
 // Exhaustive candidate merging: per context, cost every subset of its
@@ -415,13 +519,7 @@ Result<SearchResult> GreedySearch(const DesignProblem& problem,
   SearchResult result;
   result.algorithm = "greedy";
   SearchTelemetry& telemetry = result.telemetry;
-  TraceSink* trace = problem.exec.trace;
-  SpanScope search_span(trace, "search.greedy");
-  // Handle resolved once; the per-round Observe is a relaxed atomic add.
-  Histogram* round_candidates_hist =
-      problem.exec.metrics != nullptr
-          ? problem.exec.metrics->histogram(kMetricSearchRoundCandidates)
-          : nullptr;
+  SpanScope search_span(problem.exec.trace, "search.greedy");
 
   // Working tree (original node ids preserved through clones).
   std::unique_ptr<SchemaTree> work_tree = problem.tree->Clone();
@@ -480,17 +578,20 @@ Result<SearchResult> GreedySearch(const DesignProblem& problem,
                       FullCost(problem, std::move(work_tree), &telemetry));
 
   // --- Greedy loop (Fig. 3 lines 6-19). Anytime: the loop stops the
-  // moment the budget runs out, keeping the best fully costed state.
-  //
-  // Each round's candidates are enumerated serially, costed concurrently
-  // (every worker on its own tree clone and what-if catalog), and reduced
-  // in enumeration order, so the chosen winner — including tie-breaks —
-  // is bit-identical to the serial run (DESIGN.md §8). ---
+  // moment the budget runs out, keeping the best fully costed state. ---
   std::vector<bool> consumed(loop_candidates.size(), false);
-  bool out_of_budget = false;
   const int num_threads = EffectiveNumThreads(problem, options);
-  CostDerivationCache derivation_cache;
-  uint64_t current_fp = MappingFingerprint(current.mapping);
+  CostStep cost_step = [&](const Transform& candidate, SchemaTree* tree,
+                           SearchTelemetry* delta,
+                           SpanScope* span) -> Result<double> {
+    if (options.prune_subsumed) FullyInline(tree);
+    XS_ASSIGN_OR_RETURN(double cost,
+                        CostCandidate(problem, *tree, current, candidate,
+                                      options.cost_derivation, delta));
+    span->Attr("cost", cost);
+    span->Attr("queries_derived", delta->queries_derived);
+    return cost;
+  };
   for (int round = 0; round < options.max_rounds; ++round) {
     if (OutOfBudget(problem)) {
       result.truncated = true;
@@ -498,177 +599,49 @@ Result<SearchResult> GreedySearch(const DesignProblem& problem,
     }
     ++telemetry.rounds;
 
-    // The no-subsumed-pruning ablation additionally enumerates the
-    // subsumed outline/inline transformations each round.
-    std::vector<Transform> extra;
+    // This round's candidates in enumeration order, with each one's
+    // position in loop_candidates. The no-subsumed-pruning ablation
+    // additionally enumerates the subsumed outline/inline transformations
+    // each round (positions past the end of loop_candidates).
+    std::vector<Transform> round_set;
+    std::vector<size_t> round_index;
+    for (size_t c = 0; c < loop_candidates.size(); ++c) {
+      if (!consumed[c]) {
+        round_set.push_back(loop_candidates[c]);
+        round_index.push_back(c);
+      }
+    }
     if (!options.prune_subsumed) {
       for (Transform& t :
            EnumerateTransforms(*current.tree, options.cmax)) {
         if (t.kind == TransformKind::kOutline ||
             t.kind == TransformKind::kInline) {
-          extra.push_back(std::move(t));
+          round_set.push_back(std::move(t));
+          round_index.push_back(loop_candidates.size());
         }
       }
     }
 
-    // This round's candidate list, in enumeration order.
-    struct RoundCandidate {
-      const Transform* transform;
-      int index;  // position in loop_candidates (+ extra tail)
-    };
-    std::vector<RoundCandidate> round_set;
-    for (size_t c = 0; c < loop_candidates.size(); ++c) {
-      if (!consumed[c]) {
-        round_set.push_back({&loop_candidates[c], static_cast<int>(c)});
-      }
-    }
-    for (size_t e = 0; e < extra.size(); ++e) {
-      round_set.push_back(
-          {&extra[e], static_cast<int>(loop_candidates.size() + e)});
-    }
-
-    // Cost every candidate into its own slot; no shared mutable state
-    // apart from the governor, fault injector, and derivation cache,
-    // which are thread-safe.
-    struct Slot {
-      bool applied = false;  // transform applied to the clone
-      bool costed = false;   // costing ran (cost or error recorded)
-      double cost = 0;
-      Status error;  // non-OK when costing failed
-      std::unique_ptr<SchemaTree> tree;
-      SearchTelemetry delta;  // this candidate's telemetry contribution
-    };
-    std::vector<Slot> slots(round_set.size());
-    // One detached sink per candidate (also on the serial path, so the
-    // exported structure is identical at any thread count); adopted below
-    // in enumeration order under the round span (DESIGN.md §9).
-    SpanScope round_span(trace, "search.round");
-    round_span.Attr("round", round);
-    round_span.Attr("candidates", static_cast<int64_t>(round_set.size()));
-    if (round_candidates_hist != nullptr) {
-      round_candidates_hist->Observe(static_cast<double>(round_set.size()));
-    }
-    std::vector<std::unique_ptr<TraceSink>> task_sinks;
-    if (trace != nullptr) {
-      task_sinks.resize(round_set.size());
-      for (auto& sink : task_sinks) {
-        sink = std::make_unique<TraceSink>(trace->capture_timing());
-      }
-    }
-    std::atomic<bool> budget_tripped{false};
-    auto cost_one = [&](int i) {
-      Slot& slot = slots[static_cast<size_t>(i)];
-      SpanScope span(trace != nullptr
-                         ? task_sinks[static_cast<size_t>(i)].get()
-                         : nullptr,
-                     "search.cost_candidate");
-      span.Attr("index", i);
-      std::unique_ptr<SchemaTree> cand_tree = current.tree->Clone();
-      const Transform& candidate = *round_set[static_cast<size_t>(i)].transform;
-      if (!ApplyTransform(cand_tree.get(), candidate).ok()) {
-        span.Attr("applied", false);
-        return;  // no longer applicable
-      }
-      slot.applied = true;
-      if (options.prune_subsumed) FullyInline(cand_tree.get());
-      Result<double> cost = CostCandidate(
-          problem, *cand_tree, current, candidate, options.cost_derivation,
-          current_fp, &derivation_cache, &slot.delta);
-      slot.costed = true;
-      if (cost.ok()) {
-        slot.cost = *cost;
-        slot.tree = std::move(cand_tree);
-        span.Attr("cost", slot.cost);
-        span.Attr("queries_derived", slot.delta.queries_derived);
-      } else {
-        slot.error = cost.status();
-        span.Attr("error", slot.error.message());
-        if (slot.error.code() == StatusCode::kResourceExhausted) {
-          budget_tripped.store(true, std::memory_order_release);
-        }
-      }
-    };
-    ParallelFor(num_threads, static_cast<int>(round_set.size()), cost_one,
-                [&budget_tripped, &problem] {
-                  return budget_tripped.load(std::memory_order_acquire) ||
-                         OutOfBudget(problem);
-                });
-
-    // Reduce in enumeration order: the first strictly-better candidate
-    // wins, exactly as in the serial loop.
-    int best = -1;
-    double best_cost = current.cost;
-    std::unique_ptr<SchemaTree> best_tree;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      Slot& slot = slots[i];
-      if (trace != nullptr) trace->Adopt(task_sinks[i].get());
-      if (!slot.applied || !slot.costed) continue;
-      ++telemetry.transformations_searched;
-      telemetry.tuner_calls += slot.delta.tuner_calls;
-      telemetry.optimizer_calls += slot.delta.optimizer_calls;
-      telemetry.queries_derived += slot.delta.queries_derived;
-      telemetry.derivation_cache_hits += slot.delta.derivation_cache_hits;
-      telemetry.whatif_rollbacks += slot.delta.whatif_rollbacks;
-      telemetry.advisor_candidates_skipped +=
-          slot.delta.advisor_candidates_skipped;
-      if (!slot.error.ok()) {
-        if (slot.error.code() == StatusCode::kResourceExhausted) {
-          out_of_budget = true;  // stop exploring, keep best-so-far
-        } else {
-          ++telemetry.candidates_skipped;  // faulty candidate: drop it
-        }
-        continue;
-      }
-      if (slot.cost < best_cost * (1 - 1e-9)) {
-        best_cost = slot.cost;
-        best = round_set[i].index;
-        best_tree = std::move(slot.tree);
-      }
-    }
-    if (out_of_budget) {
+    RoundOutcome outcome =
+        RunSearchRound(problem, num_threads, round, *current.tree,
+                       current.cost, round_set, cost_step, &telemetry);
+    if (outcome.out_of_budget) {
       result.truncated = true;
       break;
     }
-
-    if (best < 0 || best_tree == nullptr) break;
-    if (best < static_cast<int>(loop_candidates.size())) {
-      consumed[static_cast<size_t>(best)] = true;
-    }
-    // Fig. 3 line 18: re-estimate the chosen mapping without derivation.
-    // A failure here (budget, injected fault) keeps the previous fully
-    // costed state rather than losing the search's progress.
-    Result<CurrentState> next =
-        FullCost(problem, std::move(best_tree), &telemetry);
-    if (!next.ok()) {
-      if (next.status().code() == StatusCode::kResourceExhausted) {
-        result.truncated = true;
-      } else {
-        ++telemetry.candidates_skipped;
-      }
+    if (outcome.best < 0) break;
+    size_t chosen = round_index[static_cast<size_t>(outcome.best)];
+    if (chosen < loop_candidates.size()) consumed[chosen] = true;
+    if (!Advance(problem, std::move(outcome.best_tree), &current, &result)) {
       break;
     }
-    current = std::move(*next);
-    current_fp = MappingFingerprint(current.mapping);
   }
 
-  result.tree = std::move(current.tree);
-  result.mapping = std::move(current.mapping);
-  result.configuration = std::move(current.config);
-  result.estimated_cost = current.cost;
-  FinishBudgetTelemetry(problem, &result);
-  telemetry.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  FinishSearch(problem, std::move(current), start, &result);
   search_span.Attr("rounds", telemetry.rounds);
   search_span.Attr("transformations_searched",
                    telemetry.transformations_searched);
   search_span.Attr("truncated", result.truncated);
-  CostDerivationCache::Stats cache = derivation_cache.stats();
-  CostCacheTotals cache_totals;
-  cache_totals.hits = cache.hits;
-  cache_totals.misses = cache.misses;
-  cache_totals.entries = cache.entries;
-  FinalizeSearchResult(problem, cache_totals, &result);
   return result;
 }
 
@@ -678,142 +651,44 @@ Result<SearchResult> NaiveGreedySearch(const DesignProblem& problem,
   SearchResult result;
   result.algorithm = "naive-greedy";
   SearchTelemetry& telemetry = result.telemetry;
-  TraceSink* trace = problem.exec.trace;
-  SpanScope search_span(trace, "search.naive-greedy");
-  Histogram* round_candidates_hist =
-      problem.exec.metrics != nullptr
-          ? problem.exec.metrics->histogram(kMetricSearchRoundCandidates)
-          : nullptr;
+  SpanScope search_span(problem.exec.trace, "search.naive-greedy");
 
   XS_ASSIGN_OR_RETURN(
       CurrentState current,
       FullCost(problem, problem.tree->Clone(), &telemetry));
 
-  bool out_of_budget = false;
   const int num_threads = EffectiveNumThreads(problem, options);
+  CostStep cost_step = [&problem](const Transform&, SchemaTree* tree,
+                                  SearchTelemetry* delta,
+                                  SpanScope* span) -> Result<double> {
+    XS_ASSIGN_OR_RETURN(CostedMapping costed,
+                        CostMapping(problem, *tree, delta));
+    span->Attr("cost", costed.cost);
+    return costed.cost;
+  };
   for (int round = 0; round < options.max_rounds; ++round) {
     if (OutOfBudget(problem)) {
       result.truncated = true;
       break;
     }
     ++telemetry.rounds;
-    std::vector<Transform> transforms =
-        EnumerateTransforms(*current.tree, options.default_split_count);
-
-    // Cost every enumerated transformation concurrently, then reduce in
-    // enumeration order (same contract as GreedySearch, DESIGN.md §8).
-    struct Slot {
-      bool applied = false;
-      bool costed = false;
-      double cost = 0;
-      Status error;
-      std::unique_ptr<SchemaTree> tree;
-      SearchTelemetry delta;
-    };
-    std::vector<Slot> slots(transforms.size());
-    SpanScope round_span(trace, "search.round");
-    round_span.Attr("round", round);
-    round_span.Attr("candidates", static_cast<int64_t>(transforms.size()));
-    if (round_candidates_hist != nullptr) {
-      round_candidates_hist->Observe(static_cast<double>(transforms.size()));
-    }
-    std::vector<std::unique_ptr<TraceSink>> task_sinks;
-    if (trace != nullptr) {
-      task_sinks.resize(transforms.size());
-      for (auto& sink : task_sinks) {
-        sink = std::make_unique<TraceSink>(trace->capture_timing());
-      }
-    }
-    std::atomic<bool> budget_tripped{false};
-    auto cost_one = [&](int i) {
-      Slot& slot = slots[static_cast<size_t>(i)];
-      SpanScope span(trace != nullptr
-                         ? task_sinks[static_cast<size_t>(i)].get()
-                         : nullptr,
-                     "search.cost_candidate");
-      span.Attr("index", i);
-      std::unique_ptr<SchemaTree> cand_tree = current.tree->Clone();
-      if (!ApplyTransform(cand_tree.get(), transforms[static_cast<size_t>(i)])
-               .ok()) {
-        span.Attr("applied", false);
-        return;
-      }
-      slot.applied = true;
-      auto costed = CostMapping(problem, *cand_tree, &slot.delta);
-      slot.costed = true;
-      if (costed.ok()) {
-        slot.cost = costed->cost;
-        slot.tree = std::move(cand_tree);
-        span.Attr("cost", slot.cost);
-      } else {
-        slot.error = costed.status();
-        span.Attr("error", slot.error.message());
-        if (slot.error.code() == StatusCode::kResourceExhausted) {
-          budget_tripped.store(true, std::memory_order_release);
-        }
-      }
-    };
-    ParallelFor(num_threads, static_cast<int>(transforms.size()), cost_one,
-                [&budget_tripped, &problem] {
-                  return budget_tripped.load(std::memory_order_acquire) ||
-                         OutOfBudget(problem);
-                });
-
-    double best_cost = current.cost;
-    std::unique_ptr<SchemaTree> best_tree;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      Slot& slot = slots[i];
-      if (trace != nullptr) trace->Adopt(task_sinks[i].get());
-      if (!slot.applied || !slot.costed) continue;
-      ++telemetry.transformations_searched;
-      telemetry.tuner_calls += slot.delta.tuner_calls;
-      telemetry.optimizer_calls += slot.delta.optimizer_calls;
-      telemetry.whatif_rollbacks += slot.delta.whatif_rollbacks;
-      telemetry.advisor_candidates_skipped +=
-          slot.delta.advisor_candidates_skipped;
-      if (!slot.error.ok()) {
-        if (slot.error.code() == StatusCode::kResourceExhausted) {
-          out_of_budget = true;
-          break;
-        }
-        // e.g. a mapping the workload cannot use, or an injected fault
-        ++telemetry.candidates_skipped;
-        continue;
-      }
-      if (slot.cost < best_cost * (1 - 1e-9)) {
-        best_cost = slot.cost;
-        best_tree = std::move(slot.tree);
-      }
-    }
-    if (out_of_budget) {
+    RoundOutcome outcome = RunSearchRound(
+        problem, num_threads, round, *current.tree, current.cost,
+        EnumerateTransforms(*current.tree, options.default_split_count),
+        cost_step, &telemetry);
+    if (outcome.out_of_budget) {
       result.truncated = true;
       break;
     }
-    if (best_tree == nullptr) break;
-    Result<CurrentState> next =
-        FullCost(problem, std::move(best_tree), &telemetry);
-    if (!next.ok()) {
-      if (next.status().code() == StatusCode::kResourceExhausted) {
-        result.truncated = true;
-      } else {
-        ++telemetry.candidates_skipped;
-      }
+    if (outcome.best < 0) break;
+    if (!Advance(problem, std::move(outcome.best_tree), &current, &result)) {
       break;
     }
-    current = std::move(*next);
   }
 
-  result.tree = std::move(current.tree);
-  result.mapping = std::move(current.mapping);
-  result.configuration = std::move(current.config);
-  result.estimated_cost = current.cost;
-  FinishBudgetTelemetry(problem, &result);
-  telemetry.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  FinishSearch(problem, std::move(current), start, &result);
   search_span.Attr("rounds", telemetry.rounds);
   search_span.Attr("truncated", result.truncated);
-  FinalizeSearchResult(problem, {}, &result);
   return result;
 }
 
@@ -849,8 +724,8 @@ Result<double> TwoStepLogicalCost(const DesignProblem& problem,
                       TranslateWorkload(problem.workload, tree, mapping));
   double total = 0;
   for (const WeightedQuery& wq : workload) {
-    if (EffectiveGovernor(problem) != nullptr) {
-      Status charged = EffectiveGovernor(problem)->ChargeWork(1.0);
+    if (problem.exec.governor != nullptr) {
+      Status charged = problem.exec.governor->ChargeWork(1.0);
       // The anchor estimate must complete even over budget; candidate
       // estimates stop so the search can return its best-so-far tree.
       if (!charged.ok() && !mandatory) return charged;
@@ -871,133 +746,49 @@ Result<SearchResult> TwoStepSearch(const DesignProblem& problem,
   SearchResult result;
   result.algorithm = "two-step";
   SearchTelemetry& telemetry = result.telemetry;
-  TraceSink* trace = problem.exec.trace;
-  SpanScope search_span(trace, "search.two-step");
-  Histogram* round_candidates_hist =
-      problem.exec.metrics != nullptr
-          ? problem.exec.metrics->histogram(kMetricSearchRoundCandidates)
-          : nullptr;
+  SpanScope search_span(problem.exec.trace, "search.two-step");
 
   std::unique_ptr<SchemaTree> current = problem.tree->Clone();
   XS_ASSIGN_OR_RETURN(
       double current_cost,
       TwoStepLogicalCost(problem, *current, /*mandatory=*/true, &telemetry));
 
-  bool out_of_budget = false;
+  // Phase 1: the logical mapping, costed under the default indexes only.
   const int num_threads = EffectiveNumThreads(problem, options);
+  CostStep cost_step = [&problem](const Transform&, SchemaTree* tree,
+                                  SearchTelemetry* delta,
+                                  SpanScope* span) -> Result<double> {
+    XS_ASSIGN_OR_RETURN(double cost,
+                        TwoStepLogicalCost(problem, *tree,
+                                           /*mandatory=*/false, delta));
+    span->Attr("cost", cost);
+    return cost;
+  };
   for (int round = 0; round < options.max_rounds; ++round) {
     if (OutOfBudget(problem)) {
       result.truncated = true;
       break;
     }
     ++telemetry.rounds;
-    std::vector<Transform> transforms =
-        EnumerateTransforms(*current, options.default_split_count);
-
-    // Same parallel cost / ordered reduce scheme as the other algorithms
-    // (DESIGN.md §8); phase-1 estimates are independent per candidate.
-    struct Slot {
-      bool applied = false;
-      bool costed = false;
-      double cost = 0;
-      Status error;
-      std::unique_ptr<SchemaTree> tree;
-      SearchTelemetry delta;
-    };
-    std::vector<Slot> slots(transforms.size());
-    SpanScope round_span(trace, "search.round");
-    round_span.Attr("round", round);
-    round_span.Attr("candidates", static_cast<int64_t>(transforms.size()));
-    if (round_candidates_hist != nullptr) {
-      round_candidates_hist->Observe(static_cast<double>(transforms.size()));
-    }
-    std::vector<std::unique_ptr<TraceSink>> task_sinks;
-    if (trace != nullptr) {
-      task_sinks.resize(transforms.size());
-      for (auto& sink : task_sinks) {
-        sink = std::make_unique<TraceSink>(trace->capture_timing());
-      }
-    }
-    std::atomic<bool> budget_tripped{false};
-    auto cost_one = [&](int i) {
-      Slot& slot = slots[static_cast<size_t>(i)];
-      SpanScope span(trace != nullptr
-                         ? task_sinks[static_cast<size_t>(i)].get()
-                         : nullptr,
-                     "search.cost_candidate");
-      span.Attr("index", i);
-      std::unique_ptr<SchemaTree> cand_tree = current->Clone();
-      if (!ApplyTransform(cand_tree.get(), transforms[static_cast<size_t>(i)])
-               .ok()) {
-        span.Attr("applied", false);
-        return;
-      }
-      slot.applied = true;
-      auto cost = TwoStepLogicalCost(problem, *cand_tree,
-                                     /*mandatory=*/false, &slot.delta);
-      slot.costed = true;
-      if (cost.ok()) {
-        slot.cost = *cost;
-        slot.tree = std::move(cand_tree);
-        span.Attr("cost", slot.cost);
-      } else {
-        slot.error = cost.status();
-        span.Attr("error", slot.error.message());
-        if (slot.error.code() == StatusCode::kResourceExhausted) {
-          budget_tripped.store(true, std::memory_order_release);
-        }
-      }
-    };
-    ParallelFor(num_threads, static_cast<int>(transforms.size()), cost_one,
-                [&budget_tripped, &problem] {
-                  return budget_tripped.load(std::memory_order_acquire) ||
-                         OutOfBudget(problem);
-                });
-
-    double best_cost = current_cost;
-    std::unique_ptr<SchemaTree> best_tree;
-    for (size_t i = 0; i < slots.size(); ++i) {
-      Slot& slot = slots[i];
-      if (trace != nullptr) trace->Adopt(task_sinks[i].get());
-      if (!slot.applied || !slot.costed) continue;
-      ++telemetry.transformations_searched;
-      telemetry.optimizer_calls += slot.delta.optimizer_calls;
-      if (!slot.error.ok()) {
-        if (slot.error.code() == StatusCode::kResourceExhausted) {
-          out_of_budget = true;
-          break;
-        }
-        ++telemetry.candidates_skipped;
-        continue;
-      }
-      if (slot.cost < best_cost * (1 - 1e-9)) {
-        best_cost = slot.cost;
-        best_tree = std::move(slot.tree);
-      }
-    }
-    if (out_of_budget) {
+    RoundOutcome outcome = RunSearchRound(
+        problem, num_threads, round, *current, current_cost,
+        EnumerateTransforms(*current, options.default_split_count),
+        cost_step, &telemetry);
+    if (outcome.out_of_budget) {
       result.truncated = true;
       break;
     }
-    if (best_tree == nullptr) break;
-    current = std::move(best_tree);
-    current_cost = best_cost;
+    if (outcome.best < 0) break;
+    current = std::move(outcome.best_tree);
+    current_cost = outcome.best_cost;
   }
 
   // Phase 2: physical design once on the chosen logical mapping.
   XS_ASSIGN_OR_RETURN(CurrentState final_state,
                       FullCost(problem, std::move(current), &telemetry));
-  result.tree = std::move(final_state.tree);
-  result.mapping = std::move(final_state.mapping);
-  result.configuration = std::move(final_state.config);
-  result.estimated_cost = final_state.cost;
-  FinishBudgetTelemetry(problem, &result);
-  telemetry.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  FinishSearch(problem, std::move(final_state), start, &result);
   search_span.Attr("rounds", telemetry.rounds);
   search_span.Attr("truncated", result.truncated);
-  FinalizeSearchResult(problem, {}, &result);
   return result;
 }
 

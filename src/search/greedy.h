@@ -32,11 +32,12 @@ enum class MergeStrategy {
 // NaiveOptions compiles unchanged.
 struct SearchOptions {
   // Workers costing the round's candidate set concurrently. <= 0 means
-  // one per hardware thread; 1 is the exact legacy serial path (no
-  // threads spawned). Any value returns a SearchResult bit-identical to
-  // num_threads = 1 — candidates are enumerated serially, costed in
-  // isolation, and reduced in enumeration order (DESIGN.md §8) — except
-  // that runs truncated by a governor may stop at a different candidate.
+  // one per hardware thread; 1 costs the candidates inline on the calling
+  // thread (no threads spawned). Any value returns a SearchResult
+  // bit-identical to num_threads = 1 — candidates are enumerated
+  // serially, costed in isolation, and reduced in enumeration order
+  // (DESIGN.md §8) — except that runs truncated by a governor may stop at
+  // a different candidate.
   // DesignProblem::exec.num_threads > 0 overrides this.
   int num_threads = 0;
   // Safety valve on search rounds (the algorithms converge earlier).

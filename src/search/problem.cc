@@ -63,16 +63,19 @@ TunerOptions EffectiveTunerOptions(const DesignProblem& problem) {
   TunerOptions options = problem.tuner_options;
   options.storage_bound_pages = problem.storage_bound_pages;
   options.exec = problem.exec;
-  if (EffectiveGovernor(problem) != nullptr) {
-    options.exec.governor = EffectiveGovernor(problem);
-    options.governor = options.exec.governor;
-  }
   // A TraceSink is single-threaded; the search calls the advisor from
   // parallel costing workers, so the advisor never shares the search's
   // sink (candidate-level spans are recorded by the search itself into
   // per-worker sinks and adopted in enumeration order).
   options.exec.trace = nullptr;
   return options;
+}
+
+void CountTunerCall(const TunerResult& config, SearchTelemetry* telemetry) {
+  ++telemetry->tuner_calls;
+  telemetry->optimizer_calls += config.optimizer_calls;
+  telemetry->whatif_rollbacks += config.whatif_rollbacks;
+  telemetry->advisor_candidates_skipped += config.candidates_skipped;
 }
 
 Result<CostedMapping> CostMapping(const DesignProblem& problem,
@@ -86,12 +89,7 @@ Result<CostedMapping> CostMapping(const DesignProblem& problem,
   std::vector<UpdateRate> rates = ComputeUpdateRates(problem, tree, mapping);
   XS_ASSIGN_OR_RETURN(TunerResult config,
                       advisor.Tune(workload, catalog, 0, rates));
-  if (telemetry != nullptr) {
-    ++telemetry->tuner_calls;
-    telemetry->optimizer_calls += config.optimizer_calls;
-    telemetry->whatif_rollbacks += config.whatif_rollbacks;
-    telemetry->advisor_candidates_skipped += config.candidates_skipped;
-  }
+  if (telemetry != nullptr) CountTunerCall(config, telemetry);
   CostedMapping out;
   out.mapping = std::move(mapping);
   out.cost = config.total_cost;
@@ -99,9 +97,7 @@ Result<CostedMapping> CostMapping(const DesignProblem& problem,
   return out;
 }
 
-void FinalizeSearchResult(const DesignProblem& problem,
-                          const CostCacheTotals& cache_stats,
-                          SearchResult* result) {
+void FinalizeSearchResult(const DesignProblem& problem, SearchResult* result) {
   const SearchTelemetry& t = result->telemetry;
   // Publish into a scratch registry first: the report must cover exactly
   // this run, while problem.exec.metrics may be accumulating across runs.
@@ -120,17 +116,12 @@ void FinalizeSearchResult(const DesignProblem& problem,
         ->Add(t.candidates_after_merging);
     registry->counter(kMetricSearchCandidatesSkipped)
         ->Add(t.candidates_skipped);
-    registry->counter(kMetricSearchDerivationCacheHits)
-        ->Add(t.derivation_cache_hits);
     registry->counter(kMetricSearchWhatifRollbacks)->Add(t.whatif_rollbacks);
     registry->counter(kMetricSearchAdvisorCandidatesSkipped)
         ->Add(t.advisor_candidates_skipped);
     if (result->truncated) {
       registry->counter(kMetricSearchTruncatedRuns)->Increment();
     }
-    registry->counter(kMetricCostCacheHits)->Add(cache_stats.hits);
-    registry->counter(kMetricCostCacheMisses)->Add(cache_stats.misses);
-    registry->counter(kMetricCostCacheEntries)->Add(cache_stats.entries);
     registry->gauge(kMetricSearchWorkSpent)->Add(t.work_spent);
     registry->gauge(kMetricSearchElapsedSeconds)->Add(t.elapsed_seconds);
   };
@@ -164,13 +155,13 @@ Result<SearchResult> EvaluateHybridInline(const DesignProblem& problem) {
   result.configuration = std::move(costed.configuration);
   result.estimated_cost = costed.cost;
   result.truncated = result.configuration.truncated;
-  if (EffectiveGovernor(problem) != nullptr) {
-    result.telemetry.work_spent = EffectiveGovernor(problem)->work_spent();
+  if (problem.exec.governor != nullptr) {
+    result.telemetry.work_spent = problem.exec.governor->work_spent();
   }
   result.telemetry.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  FinalizeSearchResult(problem, {}, &result);
+  FinalizeSearchResult(problem, &result);
   return result;
 }
 

@@ -39,29 +39,18 @@ struct DesignProblem {
   std::vector<XmlUpdateLoad> updates;     // optional insert load
   int64_t storage_bound_pages = 1LL << 40;
   TunerOptions tuner_options;             // storage bound is set per call
-  // Optional resource governor shared by every tuner/optimizer call the
-  // search makes. When its work budget or deadline runs out, the search
+  // Execution environment: governor, metrics registry, trace sink, thread
+  // count (DESIGN.md §9). Every field optional; `exec.num_threads > 0`
+  // overrides the options-struct thread count.
+  //
+  // `exec.governor` is shared by every tuner/optimizer call the search
+  // makes. When its work budget or deadline runs out, the search
   // algorithms become *anytime*: they stop exploring and return the best
   // mapping found so far with SearchResult::truncated set. Costing the
   // initial mapping is mandatory, so even a 1-unit budget yields a valid
   // design.
-  //
-  // Deprecated in favour of `exec.governor`; still honored (see
-  // EffectiveGovernor).
-  ResourceGovernor* governor = nullptr;
-  // Execution environment: governor, metrics registry, trace sink, thread
-  // count (DESIGN.md §9). Every field optional; `exec.governor` wins over
-  // the legacy field above, and `exec.num_threads > 0` overrides the
-  // options-struct thread count.
   ExecContext exec;
 };
-
-// The governor actually in effect for `problem`: exec.governor when set,
-// else the legacy DesignProblem::governor.
-inline ResourceGovernor* EffectiveGovernor(const DesignProblem& problem) {
-  return problem.exec.governor != nullptr ? problem.exec.governor
-                                          : problem.governor;
-}
 
 struct SearchTelemetry {
   // Transformations whose resulting mapping was costed (the paper's
@@ -73,11 +62,6 @@ struct SearchTelemetry {
   int optimizer_calls = 0;
   // Queries whose cost was reused through cost derivation (§4.8).
   int queries_derived = 0;
-  // Cost-derivation cache hits (search/cost_cache.h). Informational:
-  // timing-dependent under parallel costing (two workers can both miss on
-  // a key before either inserts), so serial-equivalence checks must skip
-  // this field — a hit is observably identical to recomputing.
-  int64_t derivation_cache_hits = 0;
   int candidates_selected = 0;     // after candidate selection (§4.5)
   int candidates_after_merging = 0;  // after candidate merging (§4.7)
   // Candidates dropped because costing them failed (injected faults,
@@ -108,8 +92,8 @@ struct SearchResult {
   // True when the governor's budget/deadline ran out before the search
   // converged: the mapping and configuration are the best found so far.
   bool truncated = false;
-  // Unified run summary (search + advisor + cost-cache sections),
-  // populated from the run's metrics at finish.
+  // Unified run summary (search, advisor, storage, and calibration
+  // sections), populated from the run's metrics at finish.
   RunReport report;
 };
 
@@ -122,8 +106,12 @@ Result<std::vector<WeightedQuery>> TranslateWorkload(
     const Mapping& mapping);
 
 // Tuner options for one design-tool call under `problem`: the problem's
-// options with the storage bound and governor filled in.
+// options with the storage bound and execution context filled in.
 TunerOptions EffectiveTunerOptions(const DesignProblem& problem);
+
+// Adds one design-tool call and what it did (optimizer calls, what-if
+// rollbacks, skipped candidate structures) to `telemetry`.
+void CountTunerCall(const TunerResult& config, SearchTelemetry* telemetry);
 
 // Builds the mapping for `tree`, derives its catalog from statistics,
 // translates the workload, and runs the physical design tool. The core
@@ -139,18 +127,10 @@ Result<CostedMapping> CostMapping(const DesignProblem& problem,
 
 // Called by every search algorithm just before returning: publishes the
 // result's telemetry into problem.exec.metrics (the deterministic
-// "search.*" counters plus the cost-cache totals in `cache_stats`) and
-// builds result->report from the published values. With a null metrics
-// registry, the report is still populated (from a scratch registry) so
-// SearchResult::report is always meaningful.
-struct CostCacheTotals {
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t entries = 0;
-};
-void FinalizeSearchResult(const DesignProblem& problem,
-                          const CostCacheTotals& cache_stats,
-                          SearchResult* result);
+// "search.*" counters) and builds result->report from the published
+// values. With a null metrics registry, the report is still populated
+// (from a scratch registry) so SearchResult::report is always meaningful.
+void FinalizeSearchResult(const DesignProblem& problem, SearchResult* result);
 
 // Converts the problem's XML-level insert loads into per-relation row
 // rates under `mapping`: a new context instance contributes rows to its

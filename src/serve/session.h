@@ -15,7 +15,7 @@
 //    deterministic retry-after hint (never queued unboundedly).
 //  * Deadline propagation — each request runs under its own
 //    ResourceGovernor whose work budget is min(deadline remaining,
-//    session budget remaining); the vectorized executor polls
+//    session budget remaining); the executor polls
 //    cancellation and the governor at batch boundaries, so expiry
 //    surfaces as a clean status with metering intact.
 //  * Chaos — the global FaultInjector is consulted at admission
@@ -84,7 +84,6 @@ struct ServeConfig : ExecKnobs {
   double global_work_budget = 0;
   // Default per-session work budget for OpenSession(0); <= 0 unlimited.
   double session_work_budget = 0;
-  bool vectorized_scan = true;
   // Worker threads for streaming bulk ingest (IngestAndPublish). The
   // resulting database state, metrics, and error behaviour are
   // bit-identical at every value (DESIGN.md §17), so this only changes

@@ -303,9 +303,7 @@ Result<TunerResult> PhysicalDesignAdvisor::Tune(
   SpanScope span(options_.exec.trace, "advisor.tune");
   span.Attr("queries", static_cast<int64_t>(workload.size()));
   TunerResult result;
-  ResourceGovernor* governor = options_.exec.governor != nullptr
-                                   ? options_.exec.governor
-                                   : options_.governor;
+  ResourceGovernor* governor = options_.exec.governor;
   CatalogDesc current = base;  // working catalog: base + chosen so far
 
   // Bind every query once and note the tables it touches.

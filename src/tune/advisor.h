@@ -46,16 +46,12 @@ struct TunerOptions {
   // Stop when the best remaining candidate improves total cost by less
   // than this fraction.
   double min_benefit_fraction = 0.005;
-  // Optional resource governor. The advisor charges one work unit per
-  // optimizer call; when the budget or deadline runs out it stops
-  // selecting candidates and returns the best configuration found so far
-  // with `truncated` set (baseline costing is mandatory and always
-  // completes, so the result is never worse than no tuning).
-  //
-  // Deprecated in favour of `exec.governor`; still honored.
-  ResourceGovernor* governor = nullptr;
-  // Execution environment (DESIGN.md §9). `exec.governor` wins over the
-  // legacy field; `exec.metrics` receives the "advisor.*" counters;
+  // Execution environment (DESIGN.md §9). The advisor charges one work
+  // unit per optimizer call to `exec.governor`; when its budget or
+  // deadline runs out it stops selecting candidates and returns the best
+  // configuration found so far with `truncated` set (baseline costing is
+  // mandatory and always completes, so the result is never worse than no
+  // tuning). `exec.metrics` receives the "advisor.*" counters;
   // `exec.faults` overrides the process-global injector. `exec.trace` is
   // used only when the advisor is invoked directly (the search calls the
   // advisor from parallel workers and deliberately does not share its
@@ -79,7 +75,7 @@ struct TunerResult {
   int candidates_skipped = 0;   // candidates dropped after a failed what-if
 
   // This tuner call's numbers as a unified run report (advisor section
-  // only; search and cost-cache sections stay zero).
+  // only; the search section stays zero).
   RunReport ToReport() const;
 };
 

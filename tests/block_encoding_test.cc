@@ -294,8 +294,8 @@ TEST_P(ZoneMapTest, NeverSkipsAMatchingBlock) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ZoneMapTest, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------
-// Pruning differential: encoded vs. plain, serial vs. 4 workers, scalar
-// vs. vectorized — one observable bundle, bit-identical everywhere.
+// Pruning differential: encoded vs. plain, 1 vs. 4 workers — one
+// observable bundle, bit-identical everywhere.
 
 struct DiffFixture {
   Database db;
@@ -353,7 +353,7 @@ struct DiffRun {
 };
 
 DiffRun RunConfig(const Database& db, const PlannedQuery& plan,
-                  StorageReadMode mode, int threads, bool vectorized,
+                  StorageReadMode mode, int threads,
                   int64_t work_units = 0) {
   ResourceLimits limits;
   limits.work_units = work_units;
@@ -363,7 +363,6 @@ DiffRun RunConfig(const Database& db, const PlannedQuery& plan,
   ExecOptions options;
   options.storage_read_mode = mode;
   options.exec_threads = threads;
-  options.vectorized_scan = vectorized;
   options.governor = &governor;
   options.metrics = &registry;
   options.explain = &tree;
@@ -403,7 +402,7 @@ TEST(PruningDifferentialTest, EncodedAndPlainAgreeEverywhere) {
       Prepare(f.db, "SELECT ID, label FROM blocks WHERE bucket = 3");
   const PlannedQuery& plan = q.planned;
   DiffRun reference = RunConfig(f.db, plan, StorageReadMode::kEncoded,
-                                /*threads=*/1, /*vectorized=*/true);
+                                /*threads=*/1);
   ASSERT_TRUE(reference.status.ok()) << reference.status;
   // The selective scan pruned the three sealed blocks whose constant
   // bucket refutes the predicate and returned exactly block 3.
@@ -416,15 +415,12 @@ TEST(PruningDifferentialTest, EncodedAndPlainAgreeEverywhere) {
   for (StorageReadMode mode :
        {StorageReadMode::kEncoded, StorageReadMode::kPlain}) {
     for (int threads : {1, 4}) {
-      for (bool vectorized : {true, false}) {
-        std::string label =
-            std::string(mode == StorageReadMode::kPlain ? "plain"
-                                                        : "encoded") +
-            " t" + std::to_string(threads) +
-            (vectorized ? " vec" : " scalar");
-        DiffRun run = RunConfig(f.db, plan, mode, threads, vectorized);
-        ExpectIdentical(reference, run, label);
-      }
+      std::string label =
+          std::string(mode == StorageReadMode::kPlain ? "plain"
+                                                      : "encoded") +
+          " t" + std::to_string(threads);
+      DiffRun run = RunConfig(f.db, plan, mode, threads);
+      ExpectIdentical(reference, run, label);
     }
   }
 }
@@ -436,23 +432,17 @@ TEST(PruningDifferentialTest, GovernorTripPointsAgree) {
   PreparedQuery q = Prepare(f.db, "SELECT ID FROM blocks WHERE bucket >= 0");
   const PlannedQuery& plan = q.planned;
   DiffRun reference = RunConfig(f.db, plan, StorageReadMode::kEncoded,
-                                /*threads=*/1, /*vectorized=*/true,
-                                /*work_units=*/4);
+                                /*threads=*/1, /*work_units=*/4);
   EXPECT_EQ(reference.status.code(), StatusCode::kResourceExhausted);
   for (StorageReadMode mode :
        {StorageReadMode::kEncoded, StorageReadMode::kPlain}) {
     for (int threads : {1, 4}) {
-      for (bool vectorized : {true, false}) {
-        std::string label =
-            std::string(mode == StorageReadMode::kPlain ? "plain"
-                                                        : "encoded") +
-            " t" + std::to_string(threads) +
-            (vectorized ? " vec" : " scalar") + " trip";
-        DiffRun run =
-            RunConfig(f.db, plan, mode, threads, vectorized,
-                      /*work_units=*/4);
-        ExpectIdentical(reference, run, label);
-      }
+      std::string label =
+          std::string(mode == StorageReadMode::kPlain ? "plain"
+                                                      : "encoded") +
+          " t" + std::to_string(threads) + " trip";
+      DiffRun run = RunConfig(f.db, plan, mode, threads, /*work_units=*/4);
+      ExpectIdentical(reference, run, label);
     }
   }
 }

@@ -1,9 +1,9 @@
 // Columnar storage tests: the dictionary's code/rank contracts, the
-// shredder's pre-sizing stats, and — the core guarantee — vectorized
-// batch execution being observably identical to the scalar row-at-a-time
-// path: same result rows in the same order, same metered work units, and
-// byte-identical explain JSON, over the tier-1 query corpora (randomized
-// movie SQL and generated DBLP XPath workloads).
+// shredder's pre-sizing stats, and — the core guarantee — batch execution
+// over columns returning the same rows as the brute-force reference
+// executor (tests/reference_executor.h, compared as multisets), over the
+// tier-1 query corpora (randomized movie SQL and generated XPath
+// workloads).
 
 #include <gtest/gtest.h>
 
@@ -13,10 +13,10 @@
 
 #include "common/rng.h"
 #include "exec/executor.h"
-#include "exec/explain.h"
 #include "mapping/shredder.h"
 #include "mapping/xml_stats.h"
 #include "opt/planner.h"
+#include "reference_executor.h"
 #include "rel/dictionary.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
@@ -105,7 +105,8 @@ TEST(ShredReserveTest, PreScanReservesRowsAndReportsSavedReallocs) {
   EXPECT_GT(stats->saved_reallocs, 0);
 }
 
-// --- Vectorized vs scalar differential over the movie SQL corpus ---
+// --- Batch execution vs the reference executor over the movie SQL
+// corpus (random physical configurations, filters, and joins) ---
 
 class VectorizedDifferentialTest : public ::testing::TestWithParam<int> {
  protected:
@@ -184,30 +185,29 @@ class VectorizedDifferentialTest : public ::testing::TestWithParam<int> {
     return sql;
   }
 
-  // Runs `plan` with the given scan mode, returning rows + metering +
-  // explain JSON bytes.
-  struct RunOutput {
-    std::vector<Row> rows;
-    ExecMetrics metrics;
-    std::string explain_json;
-  };
-  RunOutput RunWith(const PlanNode& plan, bool vectorized) {
-    RunOutput out;
-    ExplainNode tree = BuildExplainTree(plan);
-    ExecOptions options;
-    options.vectorized_scan = vectorized;
-    options.explain = &tree;
-    Executor executor(db_);
-    auto rows = executor.Run(plan, &out.metrics, options);
-    EXPECT_TRUE(rows.ok()) << rows.status();
-    if (rows.ok()) out.rows = std::move(*rows);
-    out.explain_json = ExplainToJson(tree, /*include_timing=*/false);
-    return out;
-  }
-
   GeneratedData data_;
   Database db_;
 };
+
+// Runs `bound` through the planner and executor and checks the rows
+// against the reference executor as a multiset (the reference ignores
+// ORDER BY), plus the root row count the executor reports.
+void ExpectMatchesReference(const Database& db, const BoundQuery& bound,
+                            const std::string& label) {
+  CatalogDesc catalog = db.BuildCatalogDesc();
+  auto planned = PlanQuery(bound, catalog);
+  ASSERT_TRUE(planned.ok()) << label;
+  Executor executor(db);
+  ExecMetrics metrics;
+  auto rows = executor.Run(*planned->root, &metrics);
+  ASSERT_TRUE(rows.ok()) << label << ": " << rows.status();
+  EXPECT_EQ(metrics.rows_out, static_cast<int64_t>(rows->size())) << label;
+  std::vector<Row> expected = ReferenceExecute(bound, db);
+  EXPECT_TRUE(SameRowMultiset(*rows, expected))
+      << label << "\nengine=" << rows->size()
+      << " reference=" << expected.size() << "\n"
+      << planned->root->ToString();
+}
 
 TEST_P(VectorizedDifferentialTest, BatchesMatchScalarExactly) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 7368787 + 5);
@@ -216,35 +216,17 @@ TEST_P(VectorizedDifferentialTest, BatchesMatchScalarExactly) {
     std::string sql = RandomSql(&rng);
     auto parsed = ParseSql(sql);
     ASSERT_TRUE(parsed.ok()) << sql;
-    CatalogDesc catalog = db_.BuildCatalogDesc();
-    auto bound = BindQuery(*parsed, catalog);
+    auto bound = BindQuery(*parsed, db_.BuildCatalogDesc());
     ASSERT_TRUE(bound.ok()) << sql;
-    auto planned = PlanQuery(*bound, catalog);
-    ASSERT_TRUE(planned.ok()) << sql;
-
-    RunOutput vec = RunWith(*planned->root, /*vectorized=*/true);
-    RunOutput scalar = RunWith(*planned->root, /*vectorized=*/false);
-
-    // Same rows in the same order (not just as a multiset).
-    ASSERT_EQ(vec.rows.size(), scalar.rows.size()) << sql;
-    RowTotalEquals eq;
-    for (size_t i = 0; i < vec.rows.size(); ++i) {
-      ASSERT_TRUE(eq(vec.rows[i], scalar.rows[i])) << sql << " row " << i;
-    }
-    // Same metered work, page counts, and per-operator explain actuals.
-    EXPECT_EQ(vec.metrics.work, scalar.metrics.work) << sql;
-    EXPECT_EQ(vec.metrics.pages_sequential, scalar.metrics.pages_sequential)
-        << sql;
-    EXPECT_EQ(vec.metrics.pages_random, scalar.metrics.pages_random) << sql;
-    EXPECT_EQ(vec.metrics.rows_out, scalar.metrics.rows_out) << sql;
-    EXPECT_EQ(vec.explain_json, scalar.explain_json) << sql;
+    ExpectMatchesReference(db_, *bound, sql);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedDifferentialTest,
                          ::testing::Range(0, 8));
 
-// --- Vectorized vs scalar over the generated DBLP XPath corpus ---
+// --- Batch execution vs the reference executor over a generated XPath
+// workload ---
 
 TEST(VectorizedXPathCorpusTest, WorkloadMatchesScalarExactly) {
   MovieConfig config;
@@ -264,43 +246,12 @@ TEST(VectorizedXPathCorpusTest, WorkloadMatchesScalarExactly) {
   auto workload = GenerateWorkload(*data.tree, *stats, spec);
   ASSERT_TRUE(workload.ok()) << workload.status();
 
-  Executor executor(db);
   for (const XPathQuery& query : *workload) {
     auto translated = TranslateXPath(query, *data.tree, *mapping);
     ASSERT_TRUE(translated.ok()) << query.ToString();
     auto bound = BindQuery(translated->sql, catalog);
     ASSERT_TRUE(bound.ok()) << query.ToString();
-    auto planned = PlanQuery(*bound, catalog);
-    ASSERT_TRUE(planned.ok()) << query.ToString();
-
-    auto run = [&](bool vectorized, ExecMetrics* metrics,
-                   std::string* explain_json) {
-      ExplainNode tree = BuildExplainTree(*planned->root);
-      ExecOptions options;
-      options.vectorized_scan = vectorized;
-      options.explain = &tree;
-      auto rows = executor.Run(*planned->root, metrics, options);
-      EXPECT_TRUE(rows.ok()) << query.ToString();
-      *explain_json = ExplainToJson(tree, /*include_timing=*/false);
-      return rows.ok() ? std::move(*rows) : std::vector<Row>{};
-    };
-    ExecMetrics vec_metrics, scalar_metrics;
-    std::string vec_explain, scalar_explain;
-    std::vector<Row> vec_rows = run(true, &vec_metrics, &vec_explain);
-    std::vector<Row> scalar_rows =
-        run(false, &scalar_metrics, &scalar_explain);
-
-    ASSERT_EQ(vec_rows.size(), scalar_rows.size()) << query.ToString();
-    RowTotalEquals eq;
-    for (size_t i = 0; i < vec_rows.size(); ++i) {
-      ASSERT_TRUE(eq(vec_rows[i], scalar_rows[i]))
-          << query.ToString() << " row " << i;
-    }
-    EXPECT_EQ(vec_metrics.work, scalar_metrics.work) << query.ToString();
-    EXPECT_EQ(vec_metrics.pages_sequential, scalar_metrics.pages_sequential);
-    EXPECT_EQ(vec_metrics.pages_random, scalar_metrics.pages_random);
-    EXPECT_EQ(vec_metrics.rows_out, scalar_metrics.rows_out);
-    EXPECT_EQ(vec_explain, scalar_explain) << query.ToString();
+    ExpectMatchesReference(db, *bound, query.ToString());
   }
 }
 

@@ -170,9 +170,9 @@ class AnytimeSearchTest : public ::testing::Test {
     ResourceLimits limits;
     limits.work_units = work_units;
     ResourceGovernor governor(limits);
-    problem_.governor = &governor;
+    problem_.exec.governor = &governor;
     auto result = GreedySearch(problem_, options);
-    problem_.governor = nullptr;
+    problem_.exec.governor = nullptr;
     return result;
   }
 
@@ -219,7 +219,7 @@ TEST_F(AnytimeSearchTest, CostMonotoneNonIncreasingInBudget) {
   // The largest budget is effectively unlimited: the search converges and
   // matches a run with no governor at all.
   EXPECT_FALSE(last.truncated);
-  problem_.governor = nullptr;
+  problem_.exec.governor = nullptr;
   auto unbounded = GreedySearch(problem_, options);
   ASSERT_TRUE(unbounded.ok());
   EXPECT_NEAR(last.estimated_cost, unbounded->estimated_cost,
@@ -243,9 +243,9 @@ TEST_F(AnytimeSearchTest, NaiveGreedyHonoursBudget) {
   ResourceLimits limits;
   limits.work_units = 1;
   ResourceGovernor governor(limits);
-  problem_.governor = &governor;
+  problem_.exec.governor = &governor;
   auto result = NaiveGreedySearch(problem_);
-  problem_.governor = nullptr;
+  problem_.exec.governor = nullptr;
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->truncated);
   EXPECT_FALSE(result->mapping.relations().empty());
@@ -256,9 +256,9 @@ TEST_F(AnytimeSearchTest, TwoStepHonoursBudget) {
   ResourceLimits limits;
   limits.work_units = 1;
   ResourceGovernor governor(limits);
-  problem_.governor = &governor;
+  problem_.exec.governor = &governor;
   auto result = TwoStepSearch(problem_);
-  problem_.governor = nullptr;
+  problem_.exec.governor = nullptr;
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->truncated);
   EXPECT_FALSE(result->mapping.relations().empty());
@@ -266,9 +266,9 @@ TEST_F(AnytimeSearchTest, TwoStepHonoursBudget) {
 
 TEST_F(AnytimeSearchTest, UnlimitedGovernorDoesNotTruncate) {
   ResourceGovernor governor;  // all limits unlimited
-  problem_.governor = &governor;
+  problem_.exec.governor = &governor;
   auto result = GreedySearch(problem_);
-  problem_.governor = nullptr;
+  problem_.exec.governor = nullptr;
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->truncated);
   EXPECT_GT(result->telemetry.work_spent, 0);
@@ -342,7 +342,7 @@ TEST_F(AnytimeSearchTest, ParallelExhaustionNeverBeatsConverged) {
   // Mid-search budgets: whichever candidate the parallel round stops at,
   // the returned design is a fully costed intermediate state — never
   // better than the converged design, never invalid.
-  problem_.governor = nullptr;
+  problem_.exec.governor = nullptr;
   auto converged = GreedySearch(problem_);
   ASSERT_TRUE(converged.ok()) << converged.status();
   for (int threads : {2, 8}) {
@@ -370,18 +370,18 @@ TEST_F(AnytimeSearchTest, ParallelNaiveAndTwoStepHonourBudget) {
     limits.work_units = 1;
     {
       ResourceGovernor governor(limits);
-      problem_.governor = &governor;
+      problem_.exec.governor = &governor;
       auto naive = NaiveGreedySearch(problem_, options);
-      problem_.governor = nullptr;
+      problem_.exec.governor = nullptr;
       ASSERT_TRUE(naive.ok()) << naive.status();
       EXPECT_TRUE(naive->truncated);
       EXPECT_FALSE(naive->mapping.relations().empty());
     }
     {
       ResourceGovernor governor(limits);
-      problem_.governor = &governor;
+      problem_.exec.governor = &governor;
       auto two_step = TwoStepSearch(problem_, options);
-      problem_.governor = nullptr;
+      problem_.exec.governor = nullptr;
       ASSERT_TRUE(two_step.ok()) << two_step.status();
       EXPECT_TRUE(two_step->truncated);
       EXPECT_FALSE(two_step->mapping.relations().empty());
@@ -393,9 +393,9 @@ TEST_F(AnytimeSearchTest, DeadlineTruncatesGreedy) {
   ResourceLimits limits;
   limits.wall_clock_seconds = 1e-9;  // expires immediately
   ResourceGovernor governor(limits);
-  problem_.governor = &governor;
+  problem_.exec.governor = &governor;
   auto result = GreedySearch(problem_);
-  problem_.governor = nullptr;
+  problem_.exec.governor = nullptr;
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->truncated);
   EXPECT_FALSE(result->mapping.relations().empty());

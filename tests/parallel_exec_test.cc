@@ -3,14 +3,14 @@
 // The executor's contract (exec/executor.h, ExecOptions::exec_threads) is
 // that parallelism is invisible: result rows (including order), ExecMetrics,
 // EXPLAIN ANALYZE actuals, exec.* registry totals, and governor/fault trip
-// points are bit-identical at every thread count, with num_threads <= 1
-// being the exact legacy serial path. This suite pins that contract per
-// query shape — heap scan (scalar and vectorized), filter, index seek,
-// index-only scan, view scan, hash join, index nested loops, union all,
-// sort, and scalar aggregates — by diffing threads {2, 4, 8} against the
-// serial run and the serial run against the brute-force reference
-// executor, then repeats the PR 6 metering audits (governor trip, injected
-// fault, cancellation) at every thread count.
+// points are bit-identical at every thread count; one thread runs the
+// same morsels inline. This suite pins that contract per query shape —
+// heap scan, filter, index seek, index-only scan, view scan, hash join,
+// index nested loops, union all, sort, and scalar aggregates — by diffing
+// threads {2, 4, 8} against the one-thread run and the one-thread run
+// against the brute-force reference executor, then repeats the metering
+// audits (governor trip, injected fault, cancellation) at every thread
+// count.
 
 #include <gtest/gtest.h>
 
@@ -147,13 +147,12 @@ struct RunOutput {
   std::string metrics_json;   // fresh registry Snapshot().ToJson()
 };
 
-RunOutput RunOnce(const Database& db, const PlannedQuery& plan, int threads,
-                  bool vectorized) {
+RunOutput RunOnce(const Database& db, const PlannedQuery& plan,
+                  int threads) {
   MetricsRegistry registry;
   ExplainNode tree = BuildExplainTree(*plan.root);
   ExecOptions options;
   options.exec_threads = threads;
-  options.vectorized_scan = vectorized;
   options.metrics = &registry;
   options.explain = &tree;
   Executor executor(db);
@@ -251,39 +250,33 @@ TEST(ParallelExecShapes, PlansExerciseEveryOperator) {
   }
 }
 
-// The tentpole contract: every observable of a parallel run is
-// byte-identical to the serial run, per shape, per scan flavor, at every
-// thread count.
+// Every observable of a run at 2, 4, and 8 threads is byte-identical to
+// the one-thread run, per shape.
 TEST(ParallelExecDifferential, BitIdenticalAcrossThreadCounts) {
   ParExecFixture& f = Big();
   for (const ShapeCase& shape : kShapes) {
     PreparedQuery q = Prepare(f.db, shape.sql);
-    for (bool vectorized : {true, false}) {
-      RunOutput serial = RunOnce(f.db, q.planned, 1, vectorized);
-      ASSERT_TRUE(serial.status.ok())
-          << shape.name << ": " << serial.status;
-      EXPECT_EQ(serial.m.rows_out,
-                static_cast<int64_t>(serial.rows.size()));
-      for (int threads : {2, 4, 8}) {
-        RunOutput parallel = RunOnce(f.db, q.planned, threads, vectorized);
-        ExpectRunsIdentical(
-            serial, parallel,
-            std::string(shape.name) + (vectorized ? "/vec" : "/scalar") +
-                "/threads=" + std::to_string(threads));
-      }
+    RunOutput serial = RunOnce(f.db, q.planned, 1);
+    ASSERT_TRUE(serial.status.ok()) << shape.name << ": " << serial.status;
+    EXPECT_EQ(serial.m.rows_out, static_cast<int64_t>(serial.rows.size()));
+    for (int threads : {2, 4, 8}) {
+      RunOutput parallel = RunOnce(f.db, q.planned, threads);
+      ExpectRunsIdentical(serial, parallel,
+                          std::string(shape.name) +
+                              "/threads=" + std::to_string(threads));
     }
   }
 }
 
-// Serial path vs the brute-force oracle (multiset: ORDER BY is ignored by
-// the reference). Join blocks run on the small fixture where the cross
+// One-thread run vs the brute-force oracle (multiset: ORDER BY is ignored
+// by the reference). Join blocks run on the small fixture where the cross
 // product is tractable; there the parallel runs also re-check identity on
 // a sub-morsel input (600 rows < kMorselRows).
 TEST(ParallelExecDifferential, MatchesReferenceExecutor) {
   for (const ShapeCase& shape : kShapes) {
     ParExecFixture& f = shape.join_block ? Small() : Big();
     PreparedQuery q = Prepare(f.db, shape.sql);
-    RunOutput serial = RunOnce(f.db, q.planned, 1, /*vectorized=*/true);
+    RunOutput serial = RunOnce(f.db, q.planned, 1);
     ASSERT_TRUE(serial.status.ok()) << shape.name << ": " << serial.status;
     std::vector<Row> expected = ReferenceExecute(q.bound, f.db);
     EXPECT_TRUE(SameRowMultiset(serial.rows, expected))
@@ -291,7 +284,7 @@ TEST(ParallelExecDifferential, MatchesReferenceExecutor) {
         << " rows vs reference " << expected.size();
     if (shape.join_block) {
       for (int threads : {2, 4, 8}) {
-        RunOutput parallel = RunOnce(f.db, q.planned, threads, true);
+        RunOutput parallel = RunOnce(f.db, q.planned, threads);
         ExpectRunsIdentical(serial, parallel,
                             std::string(shape.name) + "/small/threads=" +
                                 std::to_string(threads));
@@ -301,8 +294,8 @@ TEST(ParallelExecDifferential, MatchesReferenceExecutor) {
 }
 
 // ---------------------------------------------------------------------
-// Governor metering audit on the morsel path (the PR 6
-// GovernorTripMidScanMetersOnce pattern, swept across thread counts).
+// Governor metering audit (the GovernorTripMidScanMetersOnce pattern of
+// tests/serving_test.cc, swept across thread counts).
 
 void AuditGovernorTrip(const Database& db, const char* sql) {
   PreparedQuery q = Prepare(db, sql);
@@ -314,32 +307,28 @@ void AuditGovernorTrip(const Database& db, const char* sql) {
 
   // A budget below the full cost trips mid-run. The governor and the
   // run's own metrics must agree on the charge, and the trip point must
-  // not move with the thread count or the scan flavor: all charges land
-  // on the coordinator in enumeration order.
+  // not move with the thread count: all charges land on the coordinator
+  // in enumeration order.
   double first_spent = -1;
   for (int threads : kThreadCounts) {
-    for (bool vectorized : {true, false}) {
-      ResourceLimits limits;
-      limits.work_units = static_cast<int64_t>(clean.work / 2);
-      ResourceGovernor governor(limits);
-      ExecMetrics m;
-      ExecOptions options;
-      options.governor = &governor;
-      options.vectorized_scan = vectorized;
-      options.exec_threads = threads;
-      auto rows = executor.Run(*q.planned.root, &m, options);
-      ASSERT_FALSE(rows.ok()) << sql << " threads=" << threads;
-      EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
-      EXPECT_DOUBLE_EQ(m.work, governor.work_spent())
+    ResourceLimits limits;
+    limits.work_units = static_cast<int64_t>(clean.work / 2);
+    ResourceGovernor governor(limits);
+    ExecMetrics m;
+    ExecOptions options;
+    options.governor = &governor;
+    options.exec_threads = threads;
+    auto rows = executor.Run(*q.planned.root, &m, options);
+    ASSERT_FALSE(rows.ok()) << sql << " threads=" << threads;
+    EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_DOUBLE_EQ(m.work, governor.work_spent())
+        << sql << " threads=" << threads;
+    EXPECT_LE(governor.work_spent(), clean.work);
+    if (first_spent < 0) {
+      first_spent = governor.work_spent();
+    } else {
+      EXPECT_DOUBLE_EQ(first_spent, governor.work_spent())
           << sql << " threads=" << threads;
-      EXPECT_LE(governor.work_spent(), clean.work);
-      if (first_spent < 0) {
-        first_spent = governor.work_spent();
-      } else {
-        EXPECT_DOUBLE_EQ(first_spent, governor.work_spent())
-            << sql << " threads=" << threads
-            << (vectorized ? " vec" : " scalar");
-      }
     }
   }
 
@@ -380,29 +369,26 @@ void AuditMorselFault(const Database& db, const char* sql, int fire_on_nth) {
   double first_work = -1;
   int first_hits = -1;
   for (int threads : kThreadCounts) {
-    for (bool vectorized : {true, false}) {
-      ScopedFaultInjection armed(kFaultSiteExecMorsel, fire_on_nth);
-      ExecMetrics m;
-      ExecOptions options;
-      options.faults = FaultInjector::Global();
-      options.vectorized_scan = vectorized;
-      options.exec_threads = threads;
-      auto rows = executor.Run(*q.planned.root, &m, options);
-      ASSERT_FALSE(rows.ok()) << sql << " threads=" << threads;
-      EXPECT_EQ(rows.status().message().rfind("injected fault", 0), 0u)
-          << rows.status();
-      int hits = FaultInjector::Global()->hits(kFaultSiteExecMorsel);
-      EXPECT_EQ(hits, fire_on_nth);
-      if (first_work < 0) {
-        first_message = rows.status().message();
-        first_work = m.work;
-        first_hits = hits;
-      } else {
-        EXPECT_EQ(first_message, rows.status().message())
-            << sql << " threads=" << threads;
-        EXPECT_DOUBLE_EQ(first_work, m.work) << sql << " threads=" << threads;
-        EXPECT_EQ(first_hits, hits);
-      }
+    ScopedFaultInjection armed(kFaultSiteExecMorsel, fire_on_nth);
+    ExecMetrics m;
+    ExecOptions options;
+    options.faults = FaultInjector::Global();
+    options.exec_threads = threads;
+    auto rows = executor.Run(*q.planned.root, &m, options);
+    ASSERT_FALSE(rows.ok()) << sql << " threads=" << threads;
+    EXPECT_EQ(rows.status().message().rfind("injected fault", 0), 0u)
+        << rows.status();
+    int hits = FaultInjector::Global()->hits(kFaultSiteExecMorsel);
+    EXPECT_EQ(hits, fire_on_nth);
+    if (first_work < 0) {
+      first_message = rows.status().message();
+      first_work = m.work;
+      first_hits = hits;
+    } else {
+      EXPECT_EQ(first_message, rows.status().message())
+          << sql << " threads=" << threads;
+      EXPECT_DOUBLE_EQ(first_work, m.work) << sql << " threads=" << threads;
+      EXPECT_EQ(first_hits, hits);
     }
   }
   // Disarmed, the same plan runs clean at any thread count.
@@ -441,22 +427,19 @@ TEST(ParallelExecCancel, CancelledRunChargesIdenticallyEverywhere) {
   Executor executor(f.db);
   double first_work = -1;
   for (int threads : kThreadCounts) {
-    for (bool vectorized : {true, false}) {
-      std::atomic<bool> cancel{true};
-      ExecMetrics m;
-      ExecOptions options;
-      options.cancel = &cancel;
-      options.vectorized_scan = vectorized;
-      options.exec_threads = threads;
-      auto rows = executor.Run(*q.planned.root, &m, options);
-      ASSERT_FALSE(rows.ok());
-      EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
-      EXPECT_NE(rows.status().message().find("cancelled"), std::string::npos);
-      if (first_work < 0) {
-        first_work = m.work;
-      } else {
-        EXPECT_DOUBLE_EQ(first_work, m.work) << "threads=" << threads;
-      }
+    std::atomic<bool> cancel{true};
+    ExecMetrics m;
+    ExecOptions options;
+    options.cancel = &cancel;
+    options.exec_threads = threads;
+    auto rows = executor.Run(*q.planned.root, &m, options);
+    ASSERT_FALSE(rows.ok());
+    EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(rows.status().message().find("cancelled"), std::string::npos);
+    if (first_work < 0) {
+      first_work = m.work;
+    } else {
+      EXPECT_DOUBLE_EQ(first_work, m.work) << "threads=" << threads;
     }
   }
 }

@@ -1,10 +1,9 @@
-// Serial-equivalence tests for parallel candidate costing: for every
-// search algorithm and every ablation flag, a run with num_threads = k
-// must return a SearchResult bit-identical to the num_threads = 1 legacy
-// serial path — same mapping, same physical configuration, same estimated
-// cost, same telemetry (DESIGN.md §8). The only fields excluded are the
-// wall-clock ones and derivation_cache_hits, which are timing-dependent
-// by design (a cache hit is observably identical to recomputing).
+// Thread-count equivalence tests for parallel candidate costing: for
+// every search algorithm and every ablation flag, a run with
+// num_threads = k must return a SearchResult bit-identical to the
+// num_threads = 1 run — same mapping, same physical configuration, same
+// estimated cost, same telemetry (DESIGN.md §8). The only field excluded
+// is the wall-clock elapsed_seconds.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 
 #include "common/limits.h"
 #include "common/thread_pool.h"
-#include "search/cost_cache.h"
 #include "search/greedy.h"
 #include "workload/dblp.h"
 #include "workload/movie.h"
@@ -52,8 +50,28 @@ std::string ConfigSignature(const TunerResult& config) {
   return out.str();
 }
 
-// Asserts two SearchResults are identical apart from timing-dependent
-// telemetry (elapsed_seconds, derivation_cache_hits).
+// Canonical text form of a mapping's structure: each relation's full
+// schema, its anchor and leaf node ids, its parent links, and its
+// repetition-split overflow index.
+std::string MappingSignature(const Mapping& mapping) {
+  std::ostringstream out;
+  for (const MappedRelation& rel : mapping.relations()) {
+    out << rel.ToTableSchema().ToString() << "|o" << rel.rep_overflow_from
+        << "|a";
+    for (int id : rel.anchor_node_ids) out << ":" << id;
+    out << "|p";
+    for (const std::string& parent : rel.parent_tables) out << ":" << parent;
+    for (const MappedColumn& col : rel.columns) {
+      out << "|c";
+      for (int id : col.node_ids) out << ":" << id;
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+// Asserts two SearchResults are identical apart from the wall-clock
+// elapsed_seconds.
 void ExpectEquivalent(const SearchResult& serial,
                       const SearchResult& parallel) {
   EXPECT_EQ(serial.algorithm, parallel.algorithm);
@@ -61,8 +79,8 @@ void ExpectEquivalent(const SearchResult& serial,
   // Bit-identical cost: no tolerance.
   EXPECT_EQ(serial.estimated_cost, parallel.estimated_cost);
   EXPECT_EQ(serial.mapping.ToString(), parallel.mapping.ToString());
-  EXPECT_EQ(MappingFingerprint(serial.mapping),
-            MappingFingerprint(parallel.mapping));
+  EXPECT_EQ(MappingSignature(serial.mapping),
+            MappingSignature(parallel.mapping));
   EXPECT_EQ(ConfigSignature(serial.configuration),
             ConfigSignature(parallel.configuration));
   const SearchTelemetry& a = serial.telemetry;
@@ -227,11 +245,11 @@ TEST_F(ParallelSearchTest, GenerousGovernorWorkSpentMatchesSerial) {
   limits.work_units = 1 << 24;
   auto run = [&](int threads) {
     ResourceGovernor governor(limits);
-    problem_.governor = &governor;
+    problem_.exec.governor = &governor;
     GreedyOptions options;
     options.num_threads = threads;
     auto result = GreedySearch(problem_, options);
-    problem_.governor = nullptr;
+    problem_.exec.governor = nullptr;
     return result;
   };
   auto serial = run(1);
@@ -280,34 +298,6 @@ TEST(ThreadPoolTest, ResolveNumThreads) {
   EXPECT_EQ(ResolveNumThreads(1), 1);
   EXPECT_GE(ResolveNumThreads(0), 1);
   EXPECT_GE(ResolveNumThreads(-2), 1);
-}
-
-TEST(CostCacheTest, LookupInsertAndSharding) {
-  CostDerivationCache cache;
-  EXPECT_FALSE(cache.Lookup(42).has_value());
-  EXPECT_EQ(cache.misses(), 1);
-  cache.Insert(42, {3.5, 7});
-  auto hit = cache.Lookup(42);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->query_cost, 3.5);
-  EXPECT_EQ(hit->reserved_pages, 7);
-  EXPECT_EQ(cache.hits(), 1);
-  // Keys spread across shards still round-trip.
-  for (uint64_t i = 0; i < 64; ++i) {
-    cache.Insert(DerivationKey(i, i * 31, i), {double(i), int64_t(i)});
-  }
-  EXPECT_EQ(cache.size(), 65);
-  for (uint64_t i = 0; i < 64; ++i) {
-    auto entry = cache.Lookup(DerivationKey(i, i * 31, i));
-    ASSERT_TRUE(entry.has_value()) << i;
-    EXPECT_EQ(entry->query_cost, double(i));
-  }
-}
-
-TEST(CostCacheTest, FingerprintSeparatesStructurallyDifferentKeys) {
-  EXPECT_NE(DerivationKey(1, 2, 3), DerivationKey(1, 2, 4));
-  EXPECT_NE(DerivationKey(1, 2, 3), DerivationKey(2, 1, 3));
-  EXPECT_EQ(DerivationKey(1, 2, 3), DerivationKey(1, 2, 3));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Serving-layer tests (DESIGN.md §12): batch-boundary interrupts in the
-// vectorized executor (cancellation, governor trips, injected faults —
+// executor (cancellation, governor trips, injected faults —
 // clean Status, no double-counted metering), admission-control
 // primitives, epoch snapshot isolation, deadline expiry in the queue and
 // mid-scan, deterministic DES soaks, and a TSan-validated concurrent
@@ -123,17 +123,16 @@ void ExpectAccountingBalanced(MetricsRegistry* registry) {
 }
 
 // ---------------------------------------------------------------------
-// Executor batch-boundary interrupts (vectorized + scalar paths).
+// Executor batch-boundary interrupts.
 
 TEST(ExecutorInterruptTest, CancelTokenStopsScanWithCleanStatus) {
   ServeFixture& f = Fixture();
   PlannedQuery plan = f.PlanXPath(ServeFixture::ScanAllQuery());
-  for (bool vectorized : {true, false}) {
+  {
     std::atomic<bool> cancel{true};
     Executor executor(*f.db);
     ExecMetrics m;
     ExecOptions options;
-    options.vectorized_scan = vectorized;
     options.cancel = &cancel;
     auto rows = executor.Run(*plan.root, &m, options);
     ASSERT_FALSE(rows.ok());
@@ -160,27 +159,19 @@ TEST(ExecutorInterruptTest, GovernorTripMidScanMetersOnce) {
 
   // A budget below the full cost trips mid-run with a clean status; the
   // governor and the run's metrics agree on what was charged (each node
-  // charges exactly once, before producing rows), and both scan paths
-  // trip identically.
-  double scalar_spent = -1;
-  for (bool vectorized : {true, false}) {
+  // charges exactly once, before producing rows).
+  {
     ResourceLimits limits;
     limits.work_units = static_cast<int64_t>(clean.work / 2);
     ResourceGovernor governor(limits);
     ExecMetrics m;
     ExecOptions options;
     options.governor = &governor;
-    options.vectorized_scan = vectorized;
     auto rows = executor.Run(*plan.root, &m, options);
     ASSERT_FALSE(rows.ok());
     EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
     EXPECT_DOUBLE_EQ(m.work, governor.work_spent());
     EXPECT_LE(governor.work_spent(), clean.work);
-    if (scalar_spent < 0) {
-      scalar_spent = governor.work_spent();
-    } else {
-      EXPECT_DOUBLE_EQ(scalar_spent, governor.work_spent());
-    }
   }
 
   // The trip corrupted nothing: a clean rerun returns the full result
