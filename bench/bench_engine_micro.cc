@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -32,6 +33,7 @@
 #include "exec/executor.h"
 #include "mapping/mapping.h"
 #include "mapping/shredder.h"
+#include "mapping/transforms.h"
 #include "mapping/xml_stats.h"
 #include "opt/planner.h"
 #include "sql/binder.h"
@@ -198,8 +200,6 @@ MicroResult ShreddingMicro() {
     out.values = {
         {"rows", static_cast<double>(result->rows)},
         {"elements", static_cast<double>(result->elements)},
-        {"reserved_rows", static_cast<double>(result->reserved_rows)},
-        {"saved_reallocs", static_cast<double>(result->saved_reallocs)},
         {"dict_entries", static_cast<double>(db.dictionary().size())},
         {"table_bytes", static_cast<double>(db.TotalTableBytes())}};
   }
@@ -211,6 +211,32 @@ MicroResult ShreddingMicro() {
   return out;
 }
 
+// A copy of `tree` with one transformation applied at the parent of the
+// first tag named `element` (an option for union distribution, a
+// repetition for repetition split).
+std::unique_ptr<SchemaTree> Transformed(const SchemaTree& tree,
+                                        TransformKind kind,
+                                        const std::string& element,
+                                        int split_count) {
+  std::unique_ptr<SchemaTree> out = tree.Clone();
+  SchemaNode* parent = out->FindTagByName(element)->parent();
+  Transform transform;
+  transform.kind = kind;
+  transform.target = parent->id();
+  if (kind == TransformKind::kUnionDistribute) {
+    transform.option_targets = {parent->id()};
+  }
+  transform.split_count = split_count;
+  XS_CHECK_OK(ApplyTransform(out.get(), transform).status());
+  return out;
+}
+
+// Pins what collection produced, not just how many elements it saw: the
+// catalog derived for three mappings sums to keys that move if any kind
+// of collected statistic does — element counts (rows under the default
+// mapping), presence combinations (the union-distributed variants),
+// cardinality histograms (the repetition-split occurrence columns and
+// overflow relation), and leaf values (distinct estimates, data pages).
 MicroResult StatisticsCollectionMicro() {
   DblpConfig config;
   config.num_inproceedings = 2000;
@@ -223,6 +249,33 @@ MicroResult StatisticsCollectionMicro() {
     XS_CHECK_OK(stats.status());
     out.values = {
         {"total_elements", static_cast<double>(stats->total_elements())}};
+    auto add_derived = [&](const std::string& label, const SchemaTree& tree) {
+      auto mapping = Mapping::Build(tree);
+      XS_CHECK_OK(mapping.status());
+      CatalogDesc catalog = stats->DeriveCatalog(tree, *mapping);
+      int64_t rows = 0, non_null = 0, distinct = 0;
+      for (const auto& [name, desc] : catalog.tables) {
+        rows += desc.stats.row_count;
+        for (const ColumnStats& column : desc.stats.columns) {
+          non_null += column.non_null_count;
+          distinct += column.distinct_estimate;
+        }
+      }
+      out.values.push_back({"rows_" + label, static_cast<double>(rows)});
+      out.values.push_back(
+          {"non_null_" + label, static_cast<double>(non_null)});
+      out.values.push_back(
+          {"distinct_" + label, static_cast<double>(distinct)});
+      out.values.push_back(
+          {"data_pages_" + label, static_cast<double>(catalog.DataPages())});
+    };
+    add_derived("default", *data.tree);
+    add_derived("union_ee", *Transformed(*data.tree,
+                                         TransformKind::kUnionDistribute,
+                                         "ee", 0));
+    add_derived("split_author", *Transformed(*data.tree,
+                                             TransformKind::kRepetitionSplit,
+                                             "author", 5));
   }
   TimeMicro(&out, [&] {
     auto stats = XmlStatistics::Collect(data.doc, *data.tree);

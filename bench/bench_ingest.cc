@@ -292,12 +292,8 @@ int Main(int argc, char** argv) {
     std::fprintf(f, "    \"wall_ms\": %.3f,\n", wall_ms_dom);
     std::fprintf(f, "    \"rows\": %lld,\n",
                  static_cast<long long>(dom_stats.rows));
-    std::fprintf(f, "    \"elements\": %lld,\n",
+    std::fprintf(f, "    \"elements\": %lld\n",
                  static_cast<long long>(dom_stats.elements));
-    std::fprintf(f, "    \"reserved_rows\": %lld,\n",
-                 static_cast<long long>(dom_stats.reserved_rows));
-    std::fprintf(f, "    \"saved_reallocs\": %lld\n",
-                 static_cast<long long>(dom_stats.saved_reallocs));
     std::fprintf(f, "  },\n  \"stream\": [\n");
     for (size_t i = 0; i < runs.size(); ++i) {
       const StreamRun& run = runs[i];

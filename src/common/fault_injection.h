@@ -62,11 +62,12 @@ inline constexpr const char* kFaultSiteServeMidQuery = "serve.mid_query";
 // every thread count, so an armed nth-hit fault fires at the same morsel
 // regardless of ExecOptions::exec_threads.
 inline constexpr const char* kFaultSiteExecMorsel = "exec.morsel";
-// Streaming shredder batch boundary (src/mapping/stream_shredder.cc):
-// checked once per columnar batch flushed into storage, in deterministic
-// flush order at every --ingest-threads count, so an armed nth-hit fault
-// interrupts the same batch regardless of parallelism. The shredder rolls
-// back all tables and dictionary entries on injection (all-or-nothing).
+// Shredder batch boundary (src/mapping/stream_shredder.cc, ShredStream
+// and ShredDocument alike): checked once per columnar batch flushed into
+// storage, in deterministic flush order at every --ingest-threads count,
+// so an armed nth-hit fault interrupts the same batch regardless of
+// parallelism. The shredder rolls back all tables and dictionary entries
+// on injection (all-or-nothing).
 inline constexpr const char* kFaultSiteShredStream = "shred.stream";
 
 class FaultInjector {

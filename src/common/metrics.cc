@@ -66,8 +66,6 @@ MetricsRegistry::MetricsRegistry() {
       kMetricShredDocuments,
       kMetricShredRows,
       kMetricShredElements,
-      kMetricShredReservedRows,
-      kMetricShredSavedReallocs,
       kMetricShredBatchesEmitted,
       kMetricSearchRuns,
       kMetricSearchRounds,

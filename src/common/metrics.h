@@ -47,13 +47,6 @@ inline constexpr const char* kMetricParseDtdNodes = "parse.dtd.nodes";
 inline constexpr const char* kMetricShredDocuments = "shred.documents";
 inline constexpr const char* kMetricShredRows = "shred.rows";
 inline constexpr const char* kMetricShredElements = "shred.elements";
-// Rows pre-reserved across relations from the shredder's document
-// pre-scan, and the vector/hash-table reallocations that reservation
-// avoided (capacity doublings a grow-from-empty append path would have
-// performed up to the reserved size).
-inline constexpr const char* kMetricShredReservedRows = "shred.reserved_rows";
-inline constexpr const char* kMetricShredSavedReallocs =
-    "shred.saved_reallocs";
 // Streaming-shredder ingest (DESIGN.md §17): columnar batches flushed
 // into storage. The counter counts batches across all relations; the
 // gauge (SetMax) is the largest single batch's logical bytes — both are

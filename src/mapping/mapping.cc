@@ -28,11 +28,6 @@ int MappedRelation::FindMappedColumn(const std::string& column_name) const {
 
 namespace {
 
-bool IsLeafTag(const SchemaNode* node) {
-  return node->kind() == SchemaNodeKind::kTag && node->num_children() == 1 &&
-         node->child(0)->kind() == SchemaNodeKind::kSimpleType;
-}
-
 // One leaf found under an anchor: the path-derived column name plus
 // presence info.
 struct LeafInfo {

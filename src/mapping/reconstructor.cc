@@ -11,11 +11,6 @@ namespace xmlshred {
 
 namespace {
 
-bool IsLeafTag(const SchemaNode* node) {
-  return node->kind() == SchemaNodeKind::kTag && node->num_children() == 1 &&
-         node->child(0)->kind() == SchemaNodeKind::kSimpleType;
-}
-
 std::string RenderValue(const Value& value) {
   if (value.is_int()) return std::to_string(value.AsInt());
   if (value.is_double()) return FormatDoubleTrimmed(value.AsDouble(), 6);

@@ -14,7 +14,7 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "mapping/shred_common.h"
+#include "mapping/schema_walker.h"
 #include "rel/table_types.h"
 #include "xml/document.h"
 #include "xml/stream_parser.h"
@@ -256,23 +256,25 @@ class LocalRowSink : public RowSink {
   int64_t cells = 0;
 };
 
-// The DOM shredder's walk (shredder.cc), retargeted: same matching rules
-// over a buffered XmlElement subtree, rows emitted through a RowSink, the
-// document-order ID counter seeded by the caller, and an optional bottom-
-// of-stack proxy standing in for the root's own row so root-level inlined
-// leaves store exactly where the DOM walk would store them.
-class ElementWalker {
+// The shredding sink. Every matched tag consumes one document-order ID
+// (so a context instance keeps the same ID under every mapping, the
+// paper's "unique node ID"); an annotated tag opens a row (ID, PID = the
+// enclosing row's ID) that its inlined leaves fill and that goes to the
+// RowSink when the tag exits. The ID counter is seeded by the caller, and
+// an optional bottom-of-stack proxy stands in for the root's own row so
+// root-level inlined leaves store exactly where the whole-document walk
+// would store them.
+class ShredSink : public WalkSink {
  public:
-  ElementWalker(const Mapping& mapping, RowSink* sink, int64_t first_id)
-      : mapping_(mapping), sink_(sink), next_id_(first_id) {}
+  ShredSink(const Mapping& mapping, RowSink* rows, int64_t first_id)
+      : mapping_(mapping), rows_(rows), next_id_(first_id) {}
 
   void SeedRootProxy(int root_rel_idx, size_t row_width) {
-    RowContext ctx;
-    ctx.relation_idx = root_rel_idx;
-    ctx.id = Value::Int(1);
-    ctx.row.assign(row_width, Value::Null());
-    ctx.row[0] = ctx.id;
-    row_stack_.push_back(std::move(ctx));
+    OpenRow proxy;
+    proxy.relation_idx = root_rel_idx;
+    proxy.row.assign(row_width, Value::Null());
+    proxy.row[0] = Value::Int(1);
+    row_stack_.push_back(std::move(proxy));
     has_proxy_ = true;
   }
 
@@ -284,64 +286,30 @@ class ElementWalker {
     return root_writes_;
   }
   int64_t elements() const { return elements_; }
-  int64_t rows() const { return rows_; }
+  int64_t rows() const { return rows_appended_; }
 
-  Status ShredTag(const XmlElement* element, const SchemaNode* node,
-                  const Value& parent_id) {
+  Status EnterTag(const XmlElement& /*element*/,
+                  const SchemaNode* node) override {
     ++elements_;
     int64_t element_id = next_id_++;
-    bool opened_row = false;
-    Value self_id = parent_id;
-    if (node->is_annotated()) {
-      int rel_idx = mapping_.RelationIndexOfAnchor(node->id());
-      if (rel_idx < 0) {
-        return Internal("anchor without relation: " + node->name());
-      }
-      RowContext ctx;
-      ctx.relation_idx = rel_idx;
-      ctx.id = Value::Int(element_id);
-      self_id = ctx.id;
-      const MappedRelation& rel =
-          mapping_.relations()[static_cast<size_t>(rel_idx)];
-      ctx.row.assign(static_cast<size_t>(kFixedColumns) + rel.columns.size(),
-                     Value::Null());
-      ctx.row[0] = ctx.id;
-      ctx.row[1] = parent_id;
-      row_stack_.push_back(std::move(ctx));
-      opened_row = true;
+    if (!node->is_annotated()) return Status::OK();
+    int rel_idx = mapping_.RelationIndexOfAnchor(node->id());
+    if (rel_idx < 0) {
+      return Internal("anchor without relation: " + node->name());
     }
-
-    Status status;
-    if (IsLeafTag(node)) {
-      status = StoreLeafValue(element, node);
-    } else {
-      size_t cursor = 0;
-      status = MatchContent(node->child(0), element, &cursor, self_id);
-      if (status.ok() && cursor != element->children().size()) {
-        status = InvalidArgument("unconsumed children under <" +
-                                 element->tag() + ">");
-      }
-    }
-
-    if (opened_row) {
-      RowContext ctx = std::move(row_stack_.back());
-      row_stack_.pop_back();
-      if (status.ok()) {
-        status = sink_->AppendRow(ctx.relation_idx, std::move(ctx.row));
-        if (status.ok()) ++rows_;
-      }
-    }
-    return status;
+    const MappedRelation& rel =
+        mapping_.relations()[static_cast<size_t>(rel_idx)];
+    OpenRow open;
+    open.relation_idx = rel_idx;
+    open.row.assign(static_cast<size_t>(kFixedColumns) + rel.columns.size(),
+                    Value::Null());
+    open.row[0] = Value::Int(element_id);
+    if (!row_stack_.empty()) open.row[1] = row_stack_.back().row[0];
+    row_stack_.push_back(std::move(open));
+    return Status::OK();
   }
 
- private:
-  struct RowContext {
-    int relation_idx = -1;
-    Row row;
-    Value id;
-  };
-
-  Status StoreLeafValue(const XmlElement* element, const SchemaNode* node) {
+  Status LeafText(const SchemaNode* node, const std::string& text) override {
     int rel_idx, col_idx;
     if (!mapping_.ColumnOfNode(node->id(), &rel_idx, &col_idx)) {
       return Internal("leaf without column: " + node->name());
@@ -350,8 +318,7 @@ class ElementWalker {
       return Internal("leaf column outside its relation row: " +
                       node->name());
     }
-    Value value =
-        ParseLeafValue(element->text(), node->child(0)->base_type());
+    Value value = ParseLeafValue(text, node->child(0)->base_type());
     if (has_proxy_ && row_stack_.size() == 1) {
       // Root-row write: logged (with Nulls — a later empty leaf must
       // overwrite an earlier value at merge exactly as it does here).
@@ -362,120 +329,29 @@ class ElementWalker {
     return Status::OK();
   }
 
-  Status MatchContent(const SchemaNode* node, const XmlElement* element,
-                      size_t* cursor, const Value& parent_id) {
-    const auto& kids = element->children();
-    switch (node->kind()) {
-      case SchemaNodeKind::kSequence:
-        for (const auto& child : node->children()) {
-          XS_RETURN_IF_ERROR(
-              MatchContent(child.get(), element, cursor, parent_id));
-        }
-        return Status::OK();
-      case SchemaNodeKind::kTag: {
-        if (*cursor >= kids.size() || kids[*cursor]->tag() != node->name()) {
-          return InvalidArgument("expected <" + node->name() + "> under <" +
-                                 element->tag() + ">");
-        }
-        const XmlElement* child = kids[(*cursor)++].get();
-        return ShredTag(child, node, parent_id);
-      }
-      case SchemaNodeKind::kOption: {
-        std::set<std::string> names;
-        MatchNames(node->child(0), &names);
-        if (*cursor < kids.size() && names.count(kids[*cursor]->tag()) > 0) {
-          return MatchContent(node->child(0), element, cursor, parent_id);
-        }
-        return Status::OK();
-      }
-      case SchemaNodeKind::kRepetition: {
-        std::set<std::string> names;
-        MatchNames(node->child(0), &names);
-        while (*cursor < kids.size() &&
-               names.count(kids[*cursor]->tag()) > 0) {
-          XS_RETURN_IF_ERROR(
-              MatchContent(node->child(0), element, cursor, parent_id));
-        }
-        return Status::OK();
-      }
-      case SchemaNodeKind::kChoice:
-        return node->is_variant_choice()
-                   ? MatchVariantChoice(node, element, cursor, parent_id)
-                   : MatchPlainChoice(node, element, cursor, parent_id);
-      case SchemaNodeKind::kSimpleType:
-        return Internal("simple type in content position");
-    }
-    return Internal("unhandled schema node kind");
+  Status ExitTag(const SchemaNode* node) override {
+    if (!node->is_annotated()) return Status::OK();
+    OpenRow done = std::move(row_stack_.back());
+    row_stack_.pop_back();
+    XS_RETURN_IF_ERROR(
+        rows_->AppendRow(done.relation_idx, std::move(done.row)));
+    ++rows_appended_;
+    return Status::OK();
   }
 
-  Status MatchPlainChoice(const SchemaNode* node, const XmlElement* element,
-                          size_t* cursor, const Value& parent_id) {
-    const auto& kids = element->children();
-    if (*cursor >= kids.size()) {
-      return InvalidArgument("missing choice content under <" +
-                             element->tag() + ">");
-    }
-    const std::string& next = kids[*cursor]->tag();
-    for (const auto& alternative : node->children()) {
-      std::set<std::string> names;
-      MatchNames(alternative.get(), &names);
-      if (names.count(next) > 0) {
-        return MatchContent(alternative.get(), element, cursor, parent_id);
-      }
-    }
-    return InvalidArgument("no choice alternative matches <" + next + ">");
-  }
-
-  Status MatchVariantChoice(const SchemaNode* node, const XmlElement* element,
-                            size_t* cursor, const Value& parent_id) {
-    const auto& kids = element->children();
-    if (*cursor >= kids.size()) {
-      return InvalidArgument("missing variant instance under <" +
-                             element->tag() + ">");
-    }
-    const XmlElement* instance = kids[*cursor].get();
-    std::set<std::string> present;
-    for (const auto& child : instance->children()) {
-      present.insert(child->tag());
-    }
-    for (const auto& variant : node->children()) {
-      if (variant->kind() != SchemaNodeKind::kTag ||
-          variant->name() != instance->tag()) {
-        continue;
-      }
-      bool ok = true;
-      if (!variant->presence_any().empty()) {
-        ok = false;
-        for (const std::string& name : variant->presence_any()) {
-          if (present.count(name) > 0) {
-            ok = true;
-            break;
-          }
-        }
-      }
-      if (ok) {
-        for (const std::string& name : variant->presence_forbidden()) {
-          if (present.count(name) > 0) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      if (ok) {
-        ++*cursor;
-        return ShredTag(instance, variant.get(), parent_id);
-      }
-    }
-    return InvalidArgument("no variant accepts <" + instance->tag() + ">");
-  }
+ private:
+  struct OpenRow {
+    int relation_idx = -1;
+    Row row;  // row[0] is the ID its children take as PID
+  };
 
   const Mapping& mapping_;
-  RowSink* sink_;
-  std::vector<RowContext> row_stack_;
+  RowSink* rows_;
+  std::vector<OpenRow> row_stack_;
   std::vector<std::pair<int, Value>> root_writes_;
   int64_t next_id_;
   int64_t elements_ = 0;
-  int64_t rows_ = 0;
+  int64_t rows_appended_ = 0;
   bool has_proxy_ = false;
 };
 
@@ -561,9 +437,9 @@ RouteTable BuildRoutes(const SchemaTree& tree) {
 
 // Resolves one buffered top-level subtree to the tag node to walk.
 // `*resolved` stays null when the name matches no slot — the run list
-// records a sentinel and MatchRuns reproduces the DOM-shaped error. A
+// records a sentinel and MatchRuns reproduces the walker's error. A
 // variant choice whose presence constraints reject the instance fails
-// outright with the DOM's message.
+// outright with the walker's message.
 Status ResolveRoute(const RouteTable& routes, const XmlElement* instance,
                     const SchemaNode** slot, const SchemaNode** resolved) {
   *slot = nullptr;
@@ -575,40 +451,11 @@ Status ResolveRoute(const RouteTable& routes, const XmlElement* instance,
     *resolved = *slot;
     return Status::OK();
   }
-  // Variant choice: the same presence resolution as MatchVariantChoice.
-  std::set<std::string> present;
-  for (const auto& child : instance->children()) {
-    present.insert(child->tag());
+  *resolved = MatchVariant(*slot, *instance);
+  if (*resolved == nullptr) {
+    return InvalidArgument("no variant accepts <" + instance->tag() + ">");
   }
-  for (const auto& variant : (*slot)->children()) {
-    if (variant->kind() != SchemaNodeKind::kTag ||
-        variant->name() != instance->tag()) {
-      continue;
-    }
-    bool ok = true;
-    if (!variant->presence_any().empty()) {
-      ok = false;
-      for (const std::string& name : variant->presence_any()) {
-        if (present.count(name) > 0) {
-          ok = true;
-          break;
-        }
-      }
-    }
-    if (ok) {
-      for (const std::string& name : variant->presence_forbidden()) {
-        if (present.count(name) > 0) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (ok) {
-      *resolved = variant.get();
-      return Status::OK();
-    }
-  }
-  return InvalidArgument("no variant accepts <" + instance->tag() + ">");
+  return Status::OK();
 }
 
 // --- Deferred root content-model validation -----------------------------
@@ -616,7 +463,7 @@ Status ResolveRoute(const RouteTable& routes, const XmlElement* instance,
 // One run-length-encoded group of consecutive top-level instances that
 // routed to the same slot. `resolved == nullptr` marks a sentinel (a name
 // no slot claims): nothing can consume it, so matching always fails at or
-// before it — with the same message MatchContent would produce.
+// before it — with the same message the schema walker would produce.
 struct TopRun {
   const SchemaNode* slot = nullptr;
   const SchemaNode* resolved = nullptr;
@@ -652,10 +499,11 @@ struct RunCursor {
   }
 };
 
-// MatchContent over the root's children, decided per run instead of per
-// element: same name-set tests, same error messages, but a million
-// repetitions cost one run entry. Variant instances were presence-routed
-// at buffering time, so here the run only needs to belong to the choice.
+// The schema walker's content matching over the root's children, decided
+// per run instead of per element: same CanStartWith tests, same error
+// messages, but a million repetitions cost one run entry. Variant
+// instances were presence-routed at buffering time, so here the run only
+// needs to belong to the choice.
 Status MatchRuns(const SchemaNode* node, RunCursor* cur,
                  const std::string& root_tag) {
   switch (node->kind()) {
@@ -674,23 +522,20 @@ Status MatchRuns(const SchemaNode* node, RunCursor* cur,
       return Status::OK();
     }
     case SchemaNodeKind::kOption: {
-      std::set<std::string> names;
-      MatchNames(node->child(0), &names);
       const TopRun* r = cur->Peek();
-      if (r != nullptr && names.count(r->name) > 0) {
+      if (r != nullptr && CanStartWith(node->child(0), r->name)) {
         return MatchRuns(node->child(0), cur, root_tag);
       }
       return Status::OK();
     }
-    case SchemaNodeKind::kRepetition: {
-      std::set<std::string> names;
-      MatchNames(node->child(0), &names);
+    case SchemaNodeKind::kRepetition:
       for (;;) {
         const TopRun* r = cur->Peek();
-        if (r == nullptr || names.count(r->name) == 0) return Status::OK();
+        if (r == nullptr || !CanStartWith(node->child(0), r->name)) {
+          return Status::OK();
+        }
         XS_RETURN_IF_ERROR(MatchRuns(node->child(0), cur, root_tag));
       }
-    }
     case SchemaNodeKind::kChoice: {
       const TopRun* r = cur->Peek();
       if (node->is_variant_choice()) {
@@ -709,9 +554,7 @@ Status MatchRuns(const SchemaNode* node, RunCursor* cur,
                                ">");
       }
       for (const auto& alternative : node->children()) {
-        std::set<std::string> names;
-        MatchNames(alternative.get(), &names);
-        if (names.count(r->name) > 0) {
+        if (CanStartWith(alternative.get(), r->name)) {
           return MatchRuns(alternative.get(), cur, root_tag);
         }
       }
@@ -726,27 +569,25 @@ Status MatchRuns(const SchemaNode* node, RunCursor* cur,
 
 // --- The driver ---------------------------------------------------------
 
-class StreamIngest {
+// One all-or-nothing ingest of a document into `db`.
+class Ingest {
  public:
-  StreamIngest(std::string_view xml, const SchemaTree& tree,
-               const Mapping& mapping, Database* db,
-               const StreamShredOptions& options)
-      : xml_(xml), tree_(tree), mapping_(mapping), db_(db),
-        options_(options) {}
+  Ingest(const SchemaTree& tree, const Mapping& mapping, Database* db,
+         const StreamShredOptions& options)
+      : tree_(tree), mapping_(mapping), db_(db), options_(options) {}
 
-  Result<ShredStats> Run() {
-    dict_floor_ = db_->dictionary().size();
-    Status status = CreateTables();
-    if (status.ok()) {
+  // Streams the text: root-routed subtrees, partitioned across workers
+  // when asked, or the whole document when root routing is ambiguous.
+  Result<ShredStats> RunStream(std::string_view xml) {
+    xml_ = xml;
+    return Complete([this] {
       routes_ = BuildRoutes(tree_);
       root_rel_ = mapping_.RelationIndexOfAnchor(tree_.root()->id());
       fallback_ = routes_.ambiguous || root_rel_ < 0;
       bool redo_serial = false;
-      if (options_.threads > 1 && !fallback_) {
-        status = RunParallel(&redo_serial);
-      } else {
-        status = RunSerial();
-      }
+      Status status = options_.threads > 1 && !fallback_
+                          ? RunParallel(&redo_serial)
+                          : RunSerial();
       if (status.ok() && redo_serial) {
         // Partitioned run detected something only the serial order can
         // answer exactly (parse error, schema mismatch, walked-element
@@ -755,7 +596,23 @@ class StreamIngest {
         stats_ = ShredStats();
         status = RunSerial();
       }
-    }
+      return status;
+    });
+  }
+
+  // The whole-document path over the caller's DOM.
+  Result<ShredStats> RunDocument(const XmlDocument& doc) {
+    return Complete([&] { return ShredWholeDocument(doc.root(), 0); });
+  }
+
+ private:
+  // Creates the tables and runs `body`. On failure every created table is
+  // dropped and the dictionary truncated back to its entry state.
+  template <typename Body>
+  Result<ShredStats> Complete(Body body) {
+    dict_floor_ = db_->dictionary().size();
+    Status status = CreateTables();
+    if (status.ok()) status = body();
     if (!status.ok()) {
       Rollback();
       return status;
@@ -764,7 +621,6 @@ class StreamIngest {
     return stats_;
   }
 
- private:
   Status CreateTables() {
     for (const MappedRelation& rel : mapping_.relations()) {
       auto result = db_->CreateTable(rel.ToTableSchema());
@@ -797,26 +653,35 @@ class StreamIngest {
     return Status::OK();
   }
 
-  Status RunSerial() {
+  // One walk from the root with no routing, over a tree of
+  // `buffered_bytes` (counted-byte model) this ingest built itself, or
+  // over the caller's DOM (0).
+  Status ShredWholeDocument(const XmlElement* root, int64_t buffered_bytes) {
     stats_.partitions = 1;
     BatchWriter writer(tables_, db_->mutable_dictionary(), options_.governor,
                        &stats_);
-    GlobalRowSink sink(&writer);
+    GlobalRowSink rows(&writer);
+    ShredSink sink(mapping_, &rows, /*first_id=*/1);
+    XS_RETURN_IF_ERROR(SchemaWalker(&sink).WalkRoot(root, tree_));
+    stats_.elements = sink.elements();
+    stats_.rows = sink.rows();
+    XS_RETURN_IF_ERROR(writer.Finish());
+    stats_.transient_peak_bytes = writer.allocated_bytes() + buffered_bytes;
+    return Status::OK();
+  }
+
+  Status RunSerial() {
     StreamParseOptions popts;
     popts.governor = options_.governor;
     XmlStreamParser parser(xml_, popts);
     XS_ASSIGN_OR_RETURN(XmlEvent ev, parser.Next());
     XS_CHECK(ev.kind == XmlEventKind::kStartElement);
-    if (ev.name != tree_.root()->name()) {
-      return InvalidArgument("document root <" + std::string(ev.name) +
-                             "> does not match schema root <" +
-                             tree_.root()->name() + ">");
-    }
+    XS_RETURN_IF_ERROR(CheckRootTag(ev.name, tree_));
 
     if (fallback_) {
-      // Whole-document buffering: the DOM pipeline without the DOM
-      // parser. Correct for any schema, but peak memory grows with the
-      // document — only taken for ambiguous root routing / leaf roots.
+      // Whole-document buffering: correct for any schema, but peak memory
+      // grows with the document — only taken for ambiguous root routing /
+      // leaf roots.
       auto root = std::make_unique<XmlElement>(std::string(ev.name));
       int64_t starts = 1;
       int64_t bytes =
@@ -824,18 +689,16 @@ class StreamIngest {
       XS_RETURN_IF_ERROR(FillElement(&parser, root.get(), &starts, &bytes));
       XS_ASSIGN_OR_RETURN(XmlEvent tail, parser.Next());
       XS_CHECK(tail.kind == XmlEventKind::kEndOfInput);
-      ElementWalker walker(mapping_, &sink, 1);
-      XS_RETURN_IF_ERROR(
-          walker.ShredTag(root.get(), tree_.root(), Value::Null()));
-      stats_.elements = walker.elements();
-      stats_.rows = walker.rows();
-      XS_RETURN_IF_ERROR(writer.Finish());
-      stats_.transient_peak_bytes = writer.allocated_bytes() + bytes;
-      return Status::OK();
+      return ShredWholeDocument(root.get(), bytes);
     }
 
-    ElementWalker walker(mapping_, &sink, /*first_id=*/2);
-    walker.SeedRootProxy(root_rel_, RootRowWidth());
+    stats_.partitions = 1;
+    BatchWriter writer(tables_, db_->mutable_dictionary(), options_.governor,
+                       &stats_);
+    GlobalRowSink rows(&writer);
+    ShredSink sink(mapping_, &rows, /*first_id=*/2);
+    sink.SeedRootProxy(root_rel_, RootRowWidth());
+    SchemaWalker walker(&sink);
     std::vector<TopRun> runs;
     int64_t max_subtree = 0;
     for (;;) {
@@ -862,15 +725,14 @@ class StreamIngest {
                                          tree_.root()->name() + ">")
                        : ms;
       }
-      XS_RETURN_IF_ERROR(walker.ShredTag(elem.get(), resolved, Value::Int(1)));
+      XS_RETURN_IF_ERROR(walker.WalkTag(elem.get(), resolved));
     }
     XS_ASSIGN_OR_RETURN(XmlEvent tail, parser.Next());
     XS_CHECK(tail.kind == XmlEventKind::kEndOfInput);
     XS_RETURN_IF_ERROR(MatchRootRuns(runs));
-    Row root_row = walker.TakeRootRow();
-    XS_RETURN_IF_ERROR(sink.AppendRow(root_rel_, std::move(root_row)));
-    stats_.rows = walker.rows() + 1;
-    stats_.elements = walker.elements() + 1;
+    XS_RETURN_IF_ERROR(rows.AppendRow(root_rel_, sink.TakeRootRow()));
+    stats_.rows = sink.rows() + 1;
+    stats_.elements = sink.elements() + 1;
     XS_RETURN_IF_ERROR(writer.Finish());
     stats_.transient_peak_bytes =
         writer.allocated_bytes() + max_subtree +
@@ -916,7 +778,7 @@ class StreamIngest {
   ShredStats stats_;
 };
 
-Status StreamIngest::RunParallel(bool* redo_serial) {
+Status Ingest::RunParallel(bool* redo_serial) {
   // Structural pre-scan: byte span + start-tag count of every depth-1
   // subtree. Any irregularity (parse error, wrong root) redoes serially —
   // the serial pass reports it with its exact error precedence.
@@ -1014,8 +876,8 @@ Status StreamIngest::RunParallel(bool* redo_serial) {
   }
 
   struct Worker {
-    LocalRowSink sink;
-    std::unique_ptr<ElementWalker> walker;
+    LocalRowSink rows;
+    std::unique_ptr<ShredSink> shred;
     std::vector<TopRun> runs;
     int64_t max_subtree = 0;
     bool anomaly = false;
@@ -1025,12 +887,13 @@ Status StreamIngest::RunParallel(bool* redo_serial) {
   std::atomic<bool> any_anomaly{false};
   ParallelFor(workers, workers, [&](int w) {
     Worker& wk = ws[static_cast<size_t>(w)];
-    wk.sink.Init(nrel);
+    wk.rows.Init(nrel);
     size_t lo = bounds[static_cast<size_t>(w)];
     size_t hi = bounds[static_cast<size_t>(w) + 1];
-    wk.walker = std::make_unique<ElementWalker>(mapping_, &wk.sink,
-                                                /*first_id=*/2 + prefix[lo]);
-    wk.walker->SeedRootProxy(root_rel_, RootRowWidth());
+    wk.shred = std::make_unique<ShredSink>(mapping_, &wk.rows,
+                                           /*first_id=*/2 + prefix[lo]);
+    wk.shred->SeedRootProxy(root_rel_, RootRowWidth());
+    SchemaWalker walker(wk.shred.get());
     for (size_t si = lo; si < hi && !wk.anomaly; ++si) {
       const Span& s = spans[si];
       StreamParseOptions po;
@@ -1064,7 +927,7 @@ Status StreamIngest::RunParallel(bool* redo_serial) {
         break;
       }
       AppendTopRun(&wk.runs, slot, resolved, elem->tag());
-      if (!wk.walker->ShredTag(elem.get(), resolved, Value::Int(1)).ok()) {
+      if (!walker.WalkTag(elem.get(), resolved).ok()) {
         wk.anomaly = true;
         break;
       }
@@ -1073,7 +936,7 @@ Status StreamIngest::RunParallel(bool* redo_serial) {
     // start-tag count (it won't when a leaf tag carries child elements,
     // which the walk ignores without assigning IDs). Any drift shifts
     // every later chunk's ID base, so the whole ingest redoes serially.
-    if (!wk.anomaly && wk.walker->elements() != prefix[hi] - prefix[lo]) {
+    if (!wk.anomaly && wk.shred->elements() != prefix[hi] - prefix[lo]) {
       wk.anomaly = true;
     }
     if (wk.anomaly) any_anomaly.store(true, std::memory_order_release);
@@ -1106,7 +969,7 @@ Status StreamIngest::RunParallel(bool* redo_serial) {
   StringDictionary* dict = db_->mutable_dictionary();
   std::vector<std::vector<uint32_t>> remap(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
-    const StringDictionary& local = ws[static_cast<size_t>(w)].sink.dict;
+    const StringDictionary& local = ws[static_cast<size_t>(w)].rows.dict;
     remap[static_cast<size_t>(w)].resize(local.size());
     for (size_t c = 0; c < local.size(); ++c) {
       remap[static_cast<size_t>(w)][c] =
@@ -1118,9 +981,8 @@ Status StreamIngest::RunParallel(bool* redo_serial) {
   // order — the exact row / flush / fault-check / memory-charge sequence
   // of the serial pass.
   BatchWriter writer(tables_, dict, options_.governor, &stats_);
-  GlobalRowSink sink(&writer);
   for (int w = 0; w < workers; ++w) {
-    LocalRowSink& sk = ws[static_cast<size_t>(w)].sink;
+    LocalRowSink& sk = ws[static_cast<size_t>(w)].rows;
     const std::vector<uint32_t>& map = remap[static_cast<size_t>(w)];
     std::vector<size_t> cursor(nrel, 0);
     for (const auto& entry : sk.row_log) {
@@ -1144,26 +1006,26 @@ Status StreamIngest::RunParallel(bool* redo_serial) {
 
   // Root row: apply per-partition write logs in order (the last write in
   // document order wins, exactly as the serial proxy ends up), append it
-  // last like the DOM path, then flush the partial batches.
+  // last like the whole-document walk, then flush the partial batches.
   Row root_row(RootRowWidth(), Value::Null());
   root_row[0] = Value::Int(1);
   stats_.rows = 1;
   stats_.elements = 1;
   for (const Worker& wk : ws) {
-    for (const auto& write : wk.walker->root_writes()) {
+    for (const auto& write : wk.shred->root_writes()) {
       root_row[static_cast<size_t>(kFixedColumns + write.first)] =
           write.second;
     }
-    stats_.rows += wk.walker->rows();
-    stats_.elements += wk.walker->elements();
+    stats_.rows += wk.shred->rows();
+    stats_.elements += wk.shred->elements();
   }
-  XS_RETURN_IF_ERROR(sink.AppendRow(root_rel_, std::move(root_row)));
+  XS_RETURN_IF_ERROR(writer.AppendRow(root_rel_, root_row));
   XS_RETURN_IF_ERROR(writer.Finish());
 
   int64_t worker_bytes = 0;
   for (const Worker& wk : ws) {
-    worker_bytes += wk.sink.cells * kTransientCellBytes +
-                    wk.sink.dict.ByteSize() +
+    worker_bytes += wk.rows.cells * kTransientCellBytes +
+                    wk.rows.dict.ByteSize() +
                     kTransientRunBytes * static_cast<int64_t>(wk.runs.size()) +
                     wk.max_subtree;
   }
@@ -1178,8 +1040,13 @@ Status StreamIngest::RunParallel(bool* redo_serial) {
 Result<ShredStats> ShredStream(std::string_view xml, const SchemaTree& tree,
                                const Mapping& mapping, Database* db,
                                const StreamShredOptions& options) {
-  StreamIngest ingest(xml, tree, mapping, db, options);
-  return ingest.Run();
+  return Ingest(tree, mapping, db, options).RunStream(xml);
+}
+
+Result<ShredStats> ShredDocument(const XmlDocument& doc,
+                                 const SchemaTree& tree,
+                                 const Mapping& mapping, Database* db) {
+  return Ingest(tree, mapping, db, StreamShredOptions{}).RunDocument(doc);
 }
 
 }  // namespace xmlshred

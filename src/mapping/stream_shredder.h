@@ -8,9 +8,9 @@
 // buffers ONE top-level subtree at a time (peak memory is bounded by the
 // largest record plus one columnar batch per relation, independent of
 // document size), routes it to its schema node by tag name, walks it with
-// the DOM shredder's matching rules, and appends completed rows into
-// per-relation columnar batch buffers that flush into storage as sealed
-// kStorageBlockRows-row blocks (Table::AppendBlock).
+// the mapping layer's one schema walker (schema_walker.h), and appends
+// completed rows into per-relation columnar batch buffers that flush into
+// storage as sealed kStorageBlockRows-row blocks (Table::AppendBlock).
 //
 // Parallelism partitions the document at top-level subtree boundaries: a
 // structural pre-scan records each depth-1 subtree's byte span and
@@ -24,14 +24,15 @@
 // shred.stream fault-injection schedule and governor memory charges).
 // The result is bit-identical at every --ingest-threads value.
 //
-// Unlike the DOM path, a failed streaming ingest is all-or-nothing: every
-// table it created is dropped and the shared dictionary is truncated back
-// to its entry state, mirroring ApplyConfiguration's rollback contract.
+// A failed ingest is all-or-nothing: every table it created is dropped
+// and the shared dictionary is truncated back to its entry state,
+// mirroring ApplyConfiguration's rollback contract.
 //
 // Root-level routing must be unambiguous for single-subtree buffering: if
 // two distinct schema slots at the root matching level share a tag name
 // (e.g. a repetition split AT the root), or the root is itself a leaf,
-// the shredder falls back to buffering the whole document (still
+// the shredder buffers the whole document and walks it from the root —
+// the path ShredDocument (shredder.h) runs over the caller's DOM (still
 // bit-identical, no longer bounded-memory). See DESIGN.md §17.
 
 #ifndef XMLSHRED_MAPPING_STREAM_SHREDDER_H_

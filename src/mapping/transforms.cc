@@ -430,9 +430,7 @@ std::vector<SchemaNode*> ResolveRepetitions(SchemaTree* tree, int target,
 Status SplitOneRepetition(SchemaTree* tree, SchemaNode* rep,
                           int split_count) {
   SchemaNode* repeated = rep->child(0);
-  if (repeated->kind() != SchemaNodeKind::kTag ||
-      repeated->num_children() != 1 ||
-      repeated->child(0)->kind() != SchemaNodeKind::kSimpleType) {
+  if (!IsLeafTag(repeated)) {
     // The paper limits repetition split to leaf elements (Section 2.1).
     return FailedPrecondition("repetition split requires a leaf element");
   }
@@ -578,16 +576,13 @@ std::vector<Transform> EnumerateTransforms(SchemaTree& tree,
         break;
       }
       case SchemaNodeKind::kRepetition: {
-        SchemaNode* repeated = node->child(0);
-        bool leaf = repeated->kind() == SchemaNodeKind::kTag &&
-                    repeated->num_children() == 1 &&
-                    repeated->child(0)->kind() == SchemaNodeKind::kSimpleType;
         if (node->rep_overflow_from() > 0) {
           Transform t;
           t.kind = TransformKind::kRepetitionMerge;
           t.target = node->id();
           out.push_back(std::move(t));
-        } else if (leaf && node->NearestAnnotatedAncestor() != nullptr) {
+        } else if (IsLeafTag(node->child(0)) &&
+                   node->NearestAnnotatedAncestor() != nullptr) {
           Transform t;
           t.kind = TransformKind::kRepetitionSplit;
           t.target = node->id();

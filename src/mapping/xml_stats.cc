@@ -1,27 +1,14 @@
 #include "mapping/xml_stats.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 
 #include "common/logging.h"
+#include "mapping/schema_walker.h"
 
 namespace xmlshred {
 
 namespace {
-
-bool IsLeafTag(const SchemaNode* node) {
-  return node->kind() == SchemaNodeKind::kTag && node->num_children() == 1 &&
-         node->child(0)->kind() == SchemaNodeKind::kSimpleType;
-}
-
-void MatchNames(const SchemaNode* node, std::set<std::string>* out) {
-  if (node->kind() == SchemaNodeKind::kTag) {
-    out->insert(node->name());
-    return;
-  }
-  for (const auto& child : node->children()) MatchNames(child.get(), out);
-}
 
 // Optional child element names within an anchor's inline content: names
 // under options and choice alternatives, not descending into tags.
@@ -45,155 +32,74 @@ void CollectOptionalNames(const SchemaNode* node, bool optional,
   }
 }
 
-Value ParseValue(const std::string& text, XsdBaseType type) {
-  if (text.empty()) return Value::Null();
-  switch (type) {
-    case XsdBaseType::kString:
-      return Value::Str(text);
-    case XsdBaseType::kInt:
-      return Value::Int(std::atoll(text.c_str()));
-    case XsdBaseType::kDouble:
-      return Value::Real(std::atof(text.c_str()));
-  }
-  return Value::Null();
-}
-
 }  // namespace
 
-class StatsCollector {
+// The statistics sink: element counts, per-instance presence masks of
+// annotated tags' optional children, leaf values, and per-visit
+// repetition cardinalities.
+class StatsSink : public WalkSink {
  public:
-  StatsCollector(const SchemaTree& tree, XmlStatistics* stats)
-      : tree_(tree), stats_(stats) {}
-
-  Status Run(const XmlDocument& doc) {
-    if (doc.root() == nullptr) return InvalidArgument("empty document");
-    if (doc.root()->tag() != tree_.root()->name()) {
-      return InvalidArgument("document root does not match schema root");
-    }
-    // Precompute each annotated tag's optional child names.
-    tree_.Visit([this](const SchemaNode* node) {
+  StatsSink(const SchemaTree& tree, XmlStatistics* stats) : stats_(stats) {
+    // Each annotated tag's optional child names, in a fixed order.
+    tree.Visit([this](const SchemaNode* node) {
       if (node->kind() == SchemaNodeKind::kTag && node->is_annotated() &&
           !IsLeafTag(node)) {
         std::set<std::string> names;
         CollectOptionalNames(node->child(0), false, &names);
         if (!names.empty() && names.size() <= 62) {
-          auto& presence = presence_[node->origin_id()];
-          presence.optional_names.assign(names.begin(), names.end());
+          stats_->presence_[node->origin_id()].optional_names.assign(
+              names.begin(), names.end());
         }
       }
     });
-    XS_RETURN_IF_ERROR(WalkTag(doc.root(), tree_.root()));
-    // Finalize accumulated values into column statistics.
-    for (auto& [origin, values] : accumulated_values_) {
+  }
+
+  Status EnterTag(const XmlElement& element,
+                  const SchemaNode* node) override {
+    ++stats_->total_elements_;
+    ++stats_->element_counts_[node->origin_id()];
+    if (!node->is_annotated() || IsLeafTag(node)) return Status::OK();
+    auto it = stats_->presence_.find(node->origin_id());
+    if (it == stats_->presence_.end()) return Status::OK();
+    const std::vector<std::string>& names = it->second.optional_names;
+    uint64_t mask = 0;
+    for (const auto& child : element.children()) {
+      for (size_t i = 0; i < names.size(); ++i) {
+        if (names[i] == child->tag()) mask |= 1ULL << i;
+      }
+    }
+    ++it->second.combo_counts[mask];
+    return Status::OK();
+  }
+
+  Status LeafText(const SchemaNode* node, const std::string& text) override {
+    values_[node->origin_id()].push_back(
+        ParseLeafValue(text, node->child(0)->base_type()));
+    return Status::OK();
+  }
+
+  void RepetitionVisit(const SchemaNode* node, int64_t occurrences) override {
+    ++stats_->cardinality_hists_[node->origin_id()][occurrences];
+  }
+
+  // Turns the accumulated leaf values into column statistics.
+  void Finish() {
+    for (const auto& [origin, values] : values_) {
       stats_->value_stats_[origin] = BuildColumnStatsFromValues(values);
     }
-    stats_->presence_ = std::move(presence_);
-    return Status::OK();
   }
 
  private:
-  using ContextPresence = XmlStatistics::ContextPresence;
-
-  Status WalkTag(const XmlElement* element, const SchemaNode* node) {
-    ++stats_->total_elements_;
-    ++stats_->element_counts_[node->origin_id()];
-
-    if (node->is_annotated() && !IsLeafTag(node)) {
-      auto it = presence_.find(node->origin_id());
-      if (it != presence_.end()) {
-        uint64_t mask = 0;
-        for (const auto& child : element->children()) {
-          for (size_t i = 0; i < it->second.optional_names.size(); ++i) {
-            if (it->second.optional_names[i] == child->tag()) {
-              mask |= 1ULL << i;
-            }
-          }
-        }
-        ++it->second.combo_counts[mask];
-      }
-    }
-
-    if (IsLeafTag(node)) {
-      accumulated_values_[node->origin_id()].push_back(
-          ParseValue(element->text(), node->child(0)->base_type()));
-      return Status::OK();
-    }
-    size_t cursor = 0;
-    XS_RETURN_IF_ERROR(Match(node->child(0), element, &cursor));
-    if (cursor != element->children().size()) {
-      return InvalidArgument("unconsumed children under <" + element->tag() +
-                             ">");
-    }
-    return Status::OK();
-  }
-
-  Status Match(const SchemaNode* node, const XmlElement* element,
-               size_t* cursor) {
-    const auto& kids = element->children();
-    switch (node->kind()) {
-      case SchemaNodeKind::kSequence:
-        for (const auto& child : node->children()) {
-          XS_RETURN_IF_ERROR(Match(child.get(), element, cursor));
-        }
-        return Status::OK();
-      case SchemaNodeKind::kTag:
-        if (*cursor >= kids.size() || kids[*cursor]->tag() != node->name()) {
-          return InvalidArgument("expected <" + node->name() + ">");
-        }
-        return WalkTag(kids[(*cursor)++].get(), node);
-      case SchemaNodeKind::kOption: {
-        std::set<std::string> names;
-        MatchNames(node->child(0), &names);
-        if (*cursor < kids.size() && names.count(kids[*cursor]->tag()) > 0) {
-          return Match(node->child(0), element, cursor);
-        }
-        return Status::OK();
-      }
-      case SchemaNodeKind::kRepetition: {
-        std::set<std::string> names;
-        MatchNames(node->child(0), &names);
-        int64_t occurrences = 0;
-        while (*cursor < kids.size() &&
-               names.count(kids[*cursor]->tag()) > 0) {
-          XS_RETURN_IF_ERROR(Match(node->child(0), element, cursor));
-          ++occurrences;
-        }
-        ++stats_->cardinality_hists_[node->origin_id()][occurrences];
-        return Status::OK();
-      }
-      case SchemaNodeKind::kChoice: {
-        if (*cursor >= kids.size()) {
-          return InvalidArgument("missing choice content");
-        }
-        const std::string& next = kids[*cursor]->tag();
-        for (const auto& alternative : node->children()) {
-          std::set<std::string> names;
-          MatchNames(alternative.get(), &names);
-          if (names.count(next) > 0) {
-            return Match(alternative.get(), element, cursor);
-          }
-        }
-        return InvalidArgument("no choice alternative matches <" + next + ">");
-      }
-      case SchemaNodeKind::kSimpleType:
-        return Internal("simple type in content position");
-    }
-    return Internal("unhandled node kind");
-  }
-
-  const SchemaTree& tree_;
   XmlStatistics* stats_;
-  std::map<int, std::vector<Value>> accumulated_values_;
-  std::map<int, ContextPresence> presence_;
-
-  friend class XmlStatistics;
+  std::map<int, std::vector<Value>> values_;
 };
 
 Result<XmlStatistics> XmlStatistics::Collect(const XmlDocument& doc,
                                              const SchemaTree& tree) {
   XmlStatistics stats;
-  StatsCollector collector(tree, &stats);
-  XS_RETURN_IF_ERROR(collector.Run(doc));
+  StatsSink sink(tree, &stats);
+  XS_RETURN_IF_ERROR(SchemaWalker(&sink).WalkRoot(doc.root(), tree));
+  sink.Finish();
   return stats;
 }
 

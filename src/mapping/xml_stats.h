@@ -2,6 +2,9 @@
 // granularity (per element, per value, per repetition cardinality, per
 // optional-presence combination), then *derived* for any candidate mapping
 // without touching the data again — the architecture of Section 4.1.
+// Collection is one sink of the mapping layer's schema walker
+// (schema_walker.h); shredding is the other, so both passes see the same
+// matches.
 //
 // Keys are origin node ids, which every transformed tree preserves, so a
 // relation of any candidate mapping can resolve its anchors and columns
@@ -35,7 +38,10 @@ namespace xmlshred {
 
 class XmlStatistics {
  public:
-  // Walks `doc` against the (original, untransformed) `tree`.
+  // Walks `doc` against the (original, untransformed) `tree` with the
+  // mapping layer's schema walker (schema_walker.h), so it accepts and
+  // rejects exactly the documents the shredder does, with the same error
+  // messages.
   static Result<XmlStatistics> Collect(const XmlDocument& doc,
                                        const SchemaTree& tree);
 
@@ -75,7 +81,7 @@ class XmlStatistics {
   int64_t total_elements() const { return total_elements_; }
 
  private:
-  friend class StatsCollector;
+  friend class StatsSink;
 
   struct ContextPresence {
     // Optional child element names, in a fixed order (bit i of a combo).

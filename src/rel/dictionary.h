@@ -53,9 +53,6 @@ class StringDictionary {
 
   size_t size() const { return strings_.size(); }
 
-  // Pre-sizes the code map for `n` expected distinct strings.
-  void Reserve(size_t n) { map_.reserve(n); }
-
   // Removes every entry with code >= n, restoring the dictionary to the
   // exact state it had when size() was n (codes are assigned densely in
   // interning order, so the first n entries are untouched). Used to roll

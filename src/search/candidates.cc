@@ -228,11 +228,7 @@ class Selector {
 
   void AddRepetitionSplit(SchemaNode* rep, CandidateSet* out) {
     if (rep->rep_overflow_from() > 0) return;
-    SchemaNode* repeated = rep->child(0);
-    bool leaf = repeated->kind() == SchemaNodeKind::kTag &&
-                repeated->num_children() == 1 &&
-                repeated->child(0)->kind() == SchemaNodeKind::kSimpleType;
-    if (!leaf) return;
+    if (!IsLeafTag(rep->child(0))) return;
     const std::map<int64_t, int64_t>* hist =
         problem_.stats->CardinalityHist(rep->origin_id());
     if (hist == nullptr) return;

@@ -35,10 +35,6 @@ Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
     exec.metrics->counter(kMetricShredDocuments)->Increment();
     exec.metrics->counter(kMetricShredRows)->Add(shredded.rows);
     exec.metrics->counter(kMetricShredElements)->Add(shredded.elements);
-    exec.metrics->counter(kMetricShredReservedRows)
-        ->Add(shredded.reserved_rows);
-    exec.metrics->counter(kMetricShredSavedReallocs)
-        ->Add(shredded.saved_reallocs);
   }
   WorkloadEvaluation evaluation;
   evaluation.data_pages = db.DataPages();

@@ -18,11 +18,6 @@ std::string WorkloadName(const WorkloadSpec& spec) {
 
 namespace {
 
-bool IsLeafTag(const SchemaNode* node) {
-  return node->kind() == SchemaNodeKind::kTag && node->num_children() == 1 &&
-         node->child(0)->kind() == SchemaNodeKind::kSimpleType;
-}
-
 // A queryable context: an annotated, repeated, non-leaf element.
 struct ContextInfo {
   SchemaNode* node = nullptr;

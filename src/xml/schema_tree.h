@@ -165,6 +165,13 @@ class SchemaNode {
   std::unique_ptr<SchemaNode> undo_;
 };
 
+// A leaf tag has simple content: it stores its text as one column and is
+// never descended into (child elements under a leaf are ignored).
+inline bool IsLeafTag(const SchemaNode* node) {
+  return node->kind() == SchemaNodeKind::kTag && node->num_children() == 1 &&
+         node->child(0)->kind() == SchemaNodeKind::kSimpleType;
+}
+
 class SchemaTree {
  public:
   SchemaTree() = default;

@@ -136,14 +136,18 @@ class XsdBuilder {
         return NotFound("complexType " + *type);
       }
       tag->set_type_name(std::string(LocalName(*type)));
-      XS_ASSIGN_OR_RETURN(std::unique_ptr<SchemaNode> content,
-                          BuildComplexContent(*it->second));
+      XS_ASSIGN_OR_RETURN(
+          std::unique_ptr<SchemaNode> content,
+          BuildComplexContent(*it->second,
+                              "complexType '" + it->first + "'"));
       tag->AddChild(std::move(content));
       return tag;
     }
     if (inline_complex != nullptr) {
-      XS_ASSIGN_OR_RETURN(std::unique_ptr<SchemaNode> content,
-                          BuildComplexContent(*inline_complex));
+      XS_ASSIGN_OR_RETURN(
+          std::unique_ptr<SchemaNode> content,
+          BuildComplexContent(*inline_complex,
+                              "the complexType of element <" + *name + ">"));
       tag->AddChild(std::move(content));
       return tag;
     }
@@ -152,20 +156,39 @@ class XsdBuilder {
     return tag;
   }
 
-  // Builds the content node for a complexType: its sequence or choice.
+  // Builds the content node for a complexType (described by `where` in
+  // errors): its sequence or choice. Content models the schema tree
+  // cannot express fail naming the construct, instead of parsing into a
+  // tree that then rejects valid documents.
   Result<std::unique_ptr<SchemaNode>> BuildComplexContent(
-      const XmlElement& complex_type) {
+      const XmlElement& complex_type, const std::string& where) {
+    if (const std::string* mixed = complex_type.FindAttribute("mixed")) {
+      if (*mixed == "true" || *mixed == "1") {
+        return Unimplemented("mixed content in " + where);
+      }
+    }
     for (const auto& child : complex_type.children()) {
       std::string_view local = LocalName(child->tag());
       if (local == "sequence" || local == "choice") {
-        return BuildGroup(*child);
+        return BuildGroup(*child, where);
+      }
+      if (IsUnsupportedParticle(local)) {
+        return Unimplemented("xs:" + std::string(local) + " in " + where);
       }
     }
-    return InvalidArgument("complexType without sequence or choice");
+    return InvalidArgument(where + " without sequence or choice");
+  }
+
+  // Constructs with no schema-tree counterpart: derived and simple
+  // content, unordered groups, wildcards, and group references.
+  static bool IsUnsupportedParticle(std::string_view local) {
+    return local == "complexContent" || local == "simpleContent" ||
+           local == "all" || local == "any" || local == "group";
   }
 
   // Builds a kSequence / kChoice node with occurs-wrapped particles.
-  Result<std::unique_ptr<SchemaNode>> BuildGroup(const XmlElement& group) {
+  Result<std::unique_ptr<SchemaNode>> BuildGroup(const XmlElement& group,
+                                                 const std::string& where) {
     RecursionScope scope(governor_);
     XS_RETURN_IF_ERROR(scope.status());
     std::string_view local = LocalName(group.tag());
@@ -178,7 +201,10 @@ class XsdBuilder {
       if (child_local == "element") {
         XS_ASSIGN_OR_RETURN(particle, BuildElement(*child));
       } else if (child_local == "sequence" || child_local == "choice") {
-        XS_ASSIGN_OR_RETURN(particle, BuildGroup(*child));
+        XS_ASSIGN_OR_RETURN(particle, BuildGroup(*child, where));
+      } else if (IsUnsupportedParticle(child_local)) {
+        return Unimplemented("xs:" + std::string(child_local) + " in " +
+                             where);
       } else {
         continue;  // annotations, attributes, etc.
       }

@@ -14,9 +14,7 @@ namespace {
 // itself), descending into annotated tags too.
 void FindLeavesNamed(SchemaNode* node, const std::string& name,
                      std::vector<SchemaNode*>* out) {
-  if (node->kind() == SchemaNodeKind::kTag && node->name() == name &&
-      node->num_children() == 1 &&
-      node->child(0)->kind() == SchemaNodeKind::kSimpleType) {
+  if (IsLeafTag(node) && node->name() == name) {
     out->push_back(node);
   }
   for (const auto& child : node->children()) {

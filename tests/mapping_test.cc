@@ -1,6 +1,8 @@
 // Tests for the mapping layer: schema-tree -> relational mapping,
 // transformations, shredding, and statistics derivation.
 
+#include <map>
+
 #include <gtest/gtest.h>
 
 #include "mapping/mapping.h"
@@ -9,6 +11,7 @@
 #include "mapping/xml_stats.h"
 #include "workload/dblp.h"
 #include "workload/movie.h"
+#include "xml/xsd_parser.h"
 
 namespace xmlshred {
 namespace {
@@ -544,6 +547,106 @@ TEST(XmlStatisticsTest, PresenceCombos) {
   int64_t neither = stats->CountMatchingPresence(
       movie->origin_id(), {}, {"avg_rating", "votes"});
   EXPECT_NEAR(static_cast<double>(neither) / 2000.0, 0.2, 0.05);
+}
+
+// Exact values over a hand-written schema and a three-record document:
+// a repetition whose parent has zero occurrences, an option present with
+// empty text, and a two-way choice.
+TEST(XmlStatisticsTest, ExactCountsOnHandWrittenSchema) {
+  auto tree = ParseXsd(R"(<xs:schema xmlns:xs="x">
+  <xs:element name="lib"><xs:complexType><xs:sequence>
+    <xs:element name="rec" maxOccurs="unbounded"><xs:complexType><xs:sequence>
+      <xs:element name="id" type="xs:int"/>
+      <xs:element name="tag" type="xs:string" minOccurs="0"
+                  maxOccurs="unbounded"/>
+      <xs:element name="note" type="xs:string" minOccurs="0"/>
+      <xs:choice>
+        <xs:element name="isbn" type="xs:string"/>
+        <xs:element name="issn" type="xs:string"/>
+      </xs:choice>
+    </xs:sequence></xs:complexType></xs:element>
+  </xs:sequence></xs:complexType></xs:element>
+</xs:schema>)");
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  AssignDefaultAnnotations(tree->get());
+  const SchemaTree& schema = **tree;
+  auto doc = ParseXml(
+      "<lib>"
+      "<rec><id>1</id><tag>a</tag><tag>b</tag><note>n1</note>"
+      "<isbn>I1</isbn></rec>"
+      "<rec><id>2</id><issn>S2</issn></rec>"
+      "<rec><id>3</id><tag>c</tag><note></note><isbn>I3</isbn></rec>"
+      "</lib>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  auto stats = XmlStatistics::Collect(*doc, schema);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+
+  auto origin = [&](const std::string& name) {
+    SchemaNode* node = (*tree)->FindTagByName(name);
+    EXPECT_NE(node, nullptr) << name;
+    return node->origin_id();
+  };
+  EXPECT_EQ(stats->ElementCount(origin("lib")), 1);
+  EXPECT_EQ(stats->ElementCount(origin("rec")), 3);
+  EXPECT_EQ(stats->ElementCount(origin("id")), 3);
+  EXPECT_EQ(stats->ElementCount(origin("tag")), 3);
+  EXPECT_EQ(stats->ElementCount(origin("note")), 2);
+  EXPECT_EQ(stats->ElementCount(origin("isbn")), 2);
+  EXPECT_EQ(stats->ElementCount(origin("issn")), 1);
+  EXPECT_EQ(stats->total_elements(), 15);
+
+  // One visit per parent, the zero-occurrence parent included.
+  const auto* tags = stats->CardinalityHist(
+      (*tree)->FindTagByName("tag")->parent()->origin_id());
+  ASSERT_NE(tags, nullptr);
+  EXPECT_EQ(*tags, (std::map<int64_t, int64_t>{{0, 1}, {1, 1}, {2, 1}}));
+  const auto* recs = stats->CardinalityHist(
+      (*tree)->FindTagByName("rec")->parent()->origin_id());
+  ASSERT_NE(recs, nullptr);
+  EXPECT_EQ(*recs, (std::map<int64_t, int64_t>{{3, 1}}));
+
+  // Presence of rec's optional children (note, isbn, issn; tag sits
+  // under a repetition and is not tracked).
+  const int rec = origin("rec");
+  EXPECT_EQ(stats->CountMatchingPresence(rec, {}, {}), 3);
+  EXPECT_EQ(stats->CountMatchingPresence(rec, {"isbn"}, {}), 2);
+  EXPECT_EQ(stats->CountMatchingPresence(rec, {"issn"}, {}), 1);
+  EXPECT_EQ(stats->CountMatchingPresence(rec, {"isbn", "issn"}, {}), 3);
+  EXPECT_EQ(stats->CountMatchingPresence(rec, {}, {"note"}), 1);
+  EXPECT_EQ(stats->CountMatchingPresence(rec, {"isbn"}, {"note"}), 0);
+  EXPECT_EQ(stats->CountMatchingPresence(rec, {"isbn"}, {}, {"note"}), 2);
+  EXPECT_EQ(stats->CountMatchingPresence(rec, {"issn"}, {}, {"note"}), 0);
+
+  // Leaf values: empty text is NULL.
+  auto non_null = [&](const std::string& name) {
+    const ColumnStats* values = stats->ValueStats(origin(name));
+    EXPECT_NE(values, nullptr) << name;
+    return values == nullptr ? -1 : values->non_null_count;
+  };
+  EXPECT_EQ(non_null("id"), 3);
+  EXPECT_EQ(non_null("tag"), 3);
+  EXPECT_EQ(non_null("note"), 1);
+  EXPECT_EQ(non_null("isbn"), 2);
+  EXPECT_EQ(non_null("issn"), 1);
+  EXPECT_EQ(stats->ValueStats(origin("note"))->null_count, 1);
+  EXPECT_EQ(stats->ValueStats(origin("id"))->min.AsInt(), 1);
+  EXPECT_EQ(stats->ValueStats(origin("id"))->max.AsInt(), 3);
+
+  // A stray child fails collection exactly as it fails shredding.
+  auto stray = ParseXml(
+      "<lib><rec><id>1</id><bogus/><isbn>I1</isbn></rec></lib>");
+  ASSERT_TRUE(stray.ok()) << stray.status();
+  auto rejected = XmlStatistics::Collect(*stray, schema);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rejected.status().message(),
+            "no choice alternative matches <bogus>");
+  auto mapping = Mapping::Build(schema);
+  ASSERT_TRUE(mapping.ok()) << mapping.status();
+  Database db;
+  auto shredded = ShredDocument(*stray, schema, *mapping, &db);
+  ASSERT_FALSE(shredded.ok());
+  EXPECT_EQ(shredded.status().ToString(), rejected.status().ToString());
 }
 
 }  // namespace

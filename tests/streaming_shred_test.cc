@@ -404,18 +404,16 @@ TEST(StreamingShred, StatsReportBatchAccounting) {
   Corpus corpus = DblpCorpus(300);
   ShredStats dom_stats;
   DomDigest(corpus, &dom_stats);
-  EXPECT_GT(dom_stats.reserved_rows, 0);
-  EXPECT_GT(dom_stats.saved_reallocs, 0);
-  EXPECT_EQ(dom_stats.batches_emitted, 0);
 
   ShredStats serial;
   StreamDigest(corpus, 1, &serial);
-  EXPECT_EQ(serial.reserved_rows, 0);
-  EXPECT_EQ(serial.saved_reallocs, 0);
   EXPECT_GT(serial.batches_emitted, 0);
   EXPECT_GT(serial.peak_batch_bytes, 0);
   EXPECT_GT(serial.transient_peak_bytes, 0);
   EXPECT_EQ(serial.partitions, 1);
+  // The DOM path flushes through the same batch writer.
+  EXPECT_EQ(dom_stats.batches_emitted, serial.batches_emitted);
+  EXPECT_EQ(dom_stats.peak_batch_bytes, serial.peak_batch_bytes);
 
   ShredStats parallel;
   StreamDigest(corpus, 4, &parallel);
@@ -500,8 +498,35 @@ TEST(StreamingShred, MalformedXmlMidStreamRollsBackCleanly) {
   }
 }
 
+// ShredDocument is the whole-document path of the same ingest, so a DOM
+// that fails after rows, sealed batches, and dictionary entries were
+// produced — a shred.stream fault on a batch flush, or a stray element
+// after every valid record — leaves the database exactly as it was.
+TEST(StreamingShred, DomShredRollsBackCleanly) {
+  Corpus corpus = DblpCorpus(2000);
+  auto expect_rollback = [&](StatusCode want_code) {
+    Database db;
+    db.mutable_dictionary()->Intern("zz_preexisting");
+    auto stats =
+        ShredDocument(corpus.doc, *corpus.tree, *corpus.mapping, &db);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), want_code) << stats.status().ToString();
+    EXPECT_TRUE(db.TableNames().empty());
+    ASSERT_EQ(db.dictionary().size(), 1u);
+    EXPECT_EQ(db.dictionary().str(0), "zz_preexisting");
+  };
+  {
+    ScopedFaultInjection scope(kFaultSiteShredStream, 2);
+    expect_rollback(StatusCode::kInternal);
+    EXPECT_EQ(FaultInjector::Global()->hits(kFaultSiteShredStream), 2);
+  }
+  corpus.doc.root()->AddChild("stray");
+  expect_rollback(StatusCode::kInvalidArgument);
+}
+
 // A document whose only defect is structural (parses fine) must produce
-// the same error message as the DOM shredder, at every thread count.
+// the same error message as ShredDocument over its DOM, at every thread
+// count.
 TEST(StreamingShred, SchemaMismatchErrorsMatchDomShredder) {
   Corpus corpus = DblpCorpus(30);
   const std::string root = corpus.tree->root()->name();

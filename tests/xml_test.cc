@@ -313,6 +313,87 @@ TEST(XsdParserTest, Errors) {
       ParseXsd("<xs:schema xmlns:xs=\"x\"></xs:schema>").ok());
 }
 
+// Content models the schema tree cannot express fail naming the construct
+// and its complexType, instead of parsing into a tree that then rejects
+// valid documents.
+TEST(XsdParserTest, NamesUnsupportedConstructs) {
+  auto expect_unimplemented = [](const std::string& xsd,
+                                 const std::string& message) {
+    auto tree = ParseXsd(xsd);
+    ASSERT_FALSE(tree.ok()) << xsd;
+    EXPECT_EQ(tree.status().code(), StatusCode::kUnimplemented);
+    EXPECT_EQ(tree.status().message(), message);
+  };
+  // A trimmed SNIPPETS.md Snippet 1: a key on the root element, an
+  // attribute beside a sequence, and a mixed complexContent restriction
+  // holding a wildcard.
+  expect_unimplemented(R"(<xsd:schema
+    xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+<xsd:annotation>
+  <xsd:documentation xml:lang="en">SQLs Schema</xsd:documentation>
+</xsd:annotation>
+<xsd:element name="sqls" type="sqlsType">
+  <xsd:key name="sqlKey">
+    <xsd:selector xpath=".//sql"/><xsd:field xpath="@name"/>
+  </xsd:key>
+</xsd:element>
+<xsd:complexType name="sqlsType"><xsd:sequence>
+  <xsd:element name="sql-group" type="sqlGroupType" maxOccurs="unbounded"/>
+</xsd:sequence></xsd:complexType>
+<xsd:complexType name="sqlGroupType">
+  <xsd:sequence>
+    <xsd:element name="sql" type="sqlType" minOccurs="1" maxOccurs="unbounded"/>
+  </xsd:sequence>
+  <xsd:attribute name="name" type="xsd:string"/>
+</xsd:complexType>
+<xsd:complexType name="sqlType">
+  <xsd:complexContent mixed="true"><xsd:restriction base="xsd:anyType">
+    <xsd:sequence>
+      <xsd:any processContents="skip" minOccurs="0" maxOccurs="unbounded"/>
+    </xsd:sequence>
+    <xsd:attribute name="name" type="xsd:string" use="required"/>
+  </xsd:restriction></xsd:complexContent>
+</xsd:complexType>
+</xsd:schema>)",
+                       "xs:complexContent in complexType 'sqlType'");
+  // A wildcard beside a declared element: the instance
+  // <r>text<a>x</a><extra/></r> is valid, so the parser must not drop it.
+  const std::string open = R"(<xs:schema xmlns:xs="x"><xs:element name="r">)";
+  const std::string close = "</xs:element></xs:schema>";
+  expect_unimplemented(open + R"(<xs:complexType><xs:sequence>
+<xs:element name="a" type="xs:string"/><xs:any minOccurs="0"/>
+</xs:sequence></xs:complexType>)" + close,
+                       "xs:any in the complexType of element <r>");
+  expect_unimplemented(open + R"(<xs:complexType mixed="true"><xs:sequence>
+<xs:element name="a" type="xs:string"/>
+</xs:sequence></xs:complexType>)" + close,
+                       "mixed content in the complexType of element <r>");
+  expect_unimplemented(open + R"(<xs:complexType><xs:all>
+<xs:element name="a" type="xs:string"/>
+</xs:all></xs:complexType>)" + close,
+                       "xs:all in the complexType of element <r>");
+  expect_unimplemented(open + R"(<xs:complexType><xs:simpleContent>
+<xs:extension base="xs:string"/>
+</xs:simpleContent></xs:complexType>)" + close,
+                       "xs:simpleContent in the complexType of element <r>");
+  expect_unimplemented(open + R"(<xs:complexType><xs:choice>
+<xs:element name="a" type="xs:string"/><xs:group ref="g"/>
+</xs:choice></xs:complexType>)" + close,
+                       "xs:group in the complexType of element <r>");
+
+  // Annotations and attributes are still skipped.
+  auto tree = ParseXsd(open + R"(<xs:complexType>
+<xs:annotation><xs:documentation>doc</xs:documentation></xs:annotation>
+<xs:sequence>
+<xs:annotation><xs:documentation>doc</xs:documentation></xs:annotation>
+<xs:element name="a" type="xs:string"/>
+</xs:sequence>
+<xs:attribute name="id" type="xs:string"/>
+</xs:complexType>)" + close);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  EXPECT_NE((*tree)->FindTagByName("a"), nullptr);
+}
+
 // The canonical Parse*(input, ParseOptions) signature: the governor
 // field bounds recursion and the exec field routes instrumentation.
 TEST(ParseOptionsTest, GovernorAndExecFieldsApply) {
