@@ -8,9 +8,9 @@
 // is hashed with the same full-state digest the differential tests use
 // (tests/streaming_shred_test.cc); the bench XS_CHECKs all digests
 // equal, so a run doubles as an end-to-end bit-identity check. After
-// each streaming ingest the largest relation gets a B-tree rebuilt at
-// the same thread count (sorted runs + k-way merge) with its entry
-// count pinned across the sweep.
+// each streaming ingest the largest relation gets a B-tree built (one
+// pass over its columns, one sort) with its entry count pinned across
+// the sweep.
 //
 // Deterministic observables (rows, elements, batches, peak batch bytes,
 // partitions, transient peak, digest) are machine-independent at a given
@@ -98,7 +98,7 @@ void ExportDatabase(const Database& db, const std::string& path) {
     }
   }
   const StringDictionary& dict = db.dictionary();
-  std::fprintf(f, "dict %u\n", dict.size());
+  std::fprintf(f, "dict %zu\n", dict.size());
   for (uint32_t c = 0; c < dict.size(); ++c) {
     std::fprintf(f, "%u %s\n", c, std::string(dict.str(c)).c_str());
   }
@@ -111,7 +111,7 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// The widest-populated relation: where the parallel index rebuild bites.
+// The most-populated relation: where the index build costs most.
 std::string LargestTable(const Database& db) {
   std::string best;
   int64_t best_rows = -1;
@@ -247,8 +247,7 @@ int Main(int argc, char** argv) {
     XS_CHECK(run.stats.rows == dom_stats.rows);
     XS_CHECK(run.stats.elements == dom_stats.elements);
 
-    // Parallel index rebuild on the widest relation (sorted runs + k-way
-    // merge at `threads`).
+    // Index build on the largest relation.
     IndexDef def;
     def.name = "ix_bench_ingest";
     def.table = LargestTable(db);
@@ -256,7 +255,7 @@ int Main(int argc, char** argv) {
     def.key_columns = {table->schema().num_columns() - 1};
     def.included_columns = {0};
     auto index_start = std::chrono::steady_clock::now();
-    XS_CHECK_OK(db.CreateIndex(def, threads));
+    XS_CHECK_OK(db.CreateIndex(def));
     run.wall_ms_index = MillisSince(index_start);
     run.index_entries = db.FindIndex(def.name)->entry_count();
     runs.push_back(run);

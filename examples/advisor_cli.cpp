@@ -152,8 +152,6 @@ Status RunTool(const CliOptions& cli) {
                      ? nullptr
                      : &registry;
   exec.trace = cli.trace_out.empty() ? nullptr : &sink;
-  exec.num_threads = cli.threads;
-  exec.exec_threads = cli.exec_threads;
 
   ParseOptions parse_options;
   parse_options.exec = &exec;
@@ -242,6 +240,7 @@ Status RunTool(const CliOptions& cli) {
                   !cli.report_out.empty();
   if (evaluate) {
     EvaluateOptions eval_options;
+    eval_options.exec_threads = cli.exec_threads;
     eval_options.collect_explain = !cli.explain_out.empty();
     eval_options.capture_timing = cli.explain_timing;
     XS_ASSIGN_OR_RETURN(

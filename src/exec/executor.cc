@@ -1578,13 +1578,4 @@ Result<std::vector<Row>> Executor::Run(const PlanNode& plan,
   return rows;
 }
 
-Result<std::vector<Row>> Executor::Run(const PlanNode& plan,
-                                       ExecMetrics* metrics,
-                                       ResourceGovernor* governor) {
-  XS_CHECK(metrics != nullptr);
-  ExecOptions options;
-  options.governor = governor;
-  return Run(plan, metrics, options);
-}
-
 }  // namespace xmlshred

@@ -55,11 +55,18 @@ struct ExecMetrics {
 };
 
 // Optional per-run instrumentation. Every member defaults to off; a
-// default-constructed ExecOptions is the bare metered run. Inherits the
-// shared ExecKnobs (exec_threads, capture_timing, collect_explain) —
-// collect_explain is harness-level and ignored here; pass an explicit
-// `explain` tree instead.
-struct ExecOptions : ExecKnobs {
+// default-constructed ExecOptions is the bare metered run.
+struct ExecOptions {
+  // Intra-query morsel workers. Scans, hash joins, sorts, and aggregates
+  // always run as kMorselRows morsels; <= 1 runs them inline on the
+  // calling thread, N > 1 on N workers. Results, metering, explain
+  // actuals, and governor/fault trip points are bit-identical at any
+  // value (DESIGN.md §13), so this is purely a latency knob.
+  int exec_threads = 1;
+  // Read the steady clock around instrumented operators and record wall
+  // times (ExplainNode::wall_ns). Off = no clock reads anywhere (the
+  // determinism gate).
+  bool capture_timing = false;
   // Charges every metered work unit and materialized row against the
   // governor's budgets; execution stops with kResourceExhausted the
   // moment one trips.
@@ -71,7 +78,6 @@ struct ExecOptions : ExecKnobs {
   // EXPLAIN ANALYZE: a tree from BuildExplainTree(plan) whose nodes
   // receive inclusive per-operator actuals (rows, work, pages). Must
   // mirror `plan`'s shape. Null = zero recording overhead.
-  // (ExecKnobs::capture_timing additionally records wall_ns per node.)
   ExplainNode* explain = nullptr;
   // Epoch snapshot pinned at admission (serving layer). When set, every
   // scan is clamped to the snapshot's visible rows — rows appended after
@@ -105,12 +111,7 @@ class Executor {
   // copied into `metrics` when non-null (accumulating, so one struct can
   // total a workload) and published per ExecOptions.
   Result<std::vector<Row>> Run(const PlanNode& plan, ExecMetrics* metrics,
-                               const ExecOptions& options);
-
-  // Convenience overload predating ExecOptions: metering into `metrics`
-  // (required here) with an optional governor.
-  Result<std::vector<Row>> Run(const PlanNode& plan, ExecMetrics* metrics,
-                               ResourceGovernor* governor = nullptr);
+                               const ExecOptions& options = {});
 
  private:
   const Database& db_;

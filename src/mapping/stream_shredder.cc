@@ -355,37 +355,17 @@ class ShredSink : public WalkSink {
   bool has_proxy_ = false;
 };
 
-// Builds the subtree under an already-consumed start event: children and
-// decoded text exactly as the DOM parser assembles them. `*starts` counts
-// start tags (the consumed one included by the caller); `*bytes` grows by
-// the counted-byte model.
-Status FillElement(XmlStreamParser* parser, XmlElement* elem,
-                   int64_t* starts, int64_t* bytes) {
-  for (;;) {
-    XS_ASSIGN_OR_RETURN(XmlEvent ev, parser->Next());
-    switch (ev.kind) {
-      case XmlEventKind::kStartElement: {
-        ++*starts;
-        *bytes += kTransientElementBytes + static_cast<int64_t>(ev.name.size());
-        XmlElement* child = elem->AddChild(std::string(ev.name));
-        XS_RETURN_IF_ERROR(FillElement(parser, child, starts, bytes));
-        break;
-      }
-      case XmlEventKind::kEndElement:
-        return Status::OK();
-      case XmlEventKind::kText: {
-        std::string decoded;
-        AppendDecodedText(ev.raw_text, &decoded);
-        if (!decoded.empty()) {
-          *bytes += static_cast<int64_t>(decoded.size());
-          elem->append_text(decoded);
-        }
-        break;
-      }
-      case XmlEventKind::kEndOfInput:
-        return Internal("unbalanced event stream");
-    }
+// A buffered subtree under the counted-byte model: per element, a fixed
+// charge plus its tag, decoded text, and attribute names and values.
+int64_t CountedBytes(const XmlElement& element) {
+  int64_t bytes = kTransientElementBytes +
+                  static_cast<int64_t>(element.tag().size() +
+                                       element.text().size());
+  for (const auto& [name, value] : element.attributes()) {
+    bytes += static_cast<int64_t>(name.size() + value.size());
   }
+  for (const auto& child : element.children()) bytes += CountedBytes(*child);
+  return bytes;
 }
 
 // --- Root-level routing -------------------------------------------------
@@ -682,14 +662,11 @@ class Ingest {
       // Whole-document buffering: correct for any schema, but peak memory
       // grows with the document — only taken for ambiguous root routing /
       // leaf roots.
-      auto root = std::make_unique<XmlElement>(std::string(ev.name));
-      int64_t starts = 1;
-      int64_t bytes =
-          kTransientElementBytes + static_cast<int64_t>(ev.name.size());
-      XS_RETURN_IF_ERROR(FillElement(&parser, root.get(), &starts, &bytes));
+      XS_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> root,
+                          BuildSubtree(ev, &parser));
       XS_ASSIGN_OR_RETURN(XmlEvent tail, parser.Next());
       XS_CHECK(tail.kind == XmlEventKind::kEndOfInput);
-      return ShredWholeDocument(root.get(), bytes);
+      return ShredWholeDocument(root.get(), CountedBytes(*root));
     }
 
     stats_.partitions = 1;
@@ -706,13 +683,9 @@ class Ingest {
       if (child.kind == XmlEventKind::kText) continue;  // root-level text:
                                                         // ignored, as DOM
       if (child.kind == XmlEventKind::kEndElement) break;
-      XS_CHECK(child.kind == XmlEventKind::kStartElement);
-      auto elem = std::make_unique<XmlElement>(std::string(child.name));
-      int64_t starts = 1;
-      int64_t bytes =
-          kTransientElementBytes + static_cast<int64_t>(child.name.size());
-      XS_RETURN_IF_ERROR(FillElement(&parser, elem.get(), &starts, &bytes));
-      max_subtree = std::max(max_subtree, bytes);
+      XS_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> elem,
+                          BuildSubtree(child, &parser));
+      max_subtree = std::max(max_subtree, CountedBytes(*elem));
       const SchemaNode* slot = nullptr;
       const SchemaNode* resolved = nullptr;
       XS_RETURN_IF_ERROR(ResolveRoute(routes_, elem.get(), &slot, &resolved));
@@ -910,15 +883,13 @@ Status Ingest::RunParallel(bool* redo_serial) {
         wk.anomaly = true;
         break;
       }
-      auto elem = std::make_unique<XmlElement>(std::string(ev.name));
-      int64_t starts = 1;
-      int64_t bytes =
-          kTransientElementBytes + static_cast<int64_t>(ev.name.size());
-      if (!FillElement(&sp, elem.get(), &starts, &bytes).ok()) {
+      Result<std::unique_ptr<XmlElement>> built = BuildSubtree(ev, &sp);
+      if (!built.ok()) {
         wk.anomaly = true;
         break;
       }
-      wk.max_subtree = std::max(wk.max_subtree, bytes);
+      std::unique_ptr<XmlElement> elem = std::move(built).TakeValue();
+      wk.max_subtree = std::max(wk.max_subtree, CountedBytes(*elem));
       const SchemaNode* slot = nullptr;
       const SchemaNode* resolved = nullptr;
       Status rs = ResolveRoute(routes_, elem.get(), &slot, &resolved);

@@ -5,7 +5,8 @@
 // tables, same cell tags/bits, same dictionary codes, same sealed
 // blocks — but without ever materializing the DOM. The stream parser
 // (xml/stream_parser.h) yields start/end/text events; the shredder
-// buffers ONE top-level subtree at a time (peak memory is bounded by the
+// buffers ONE top-level subtree at a time with BuildSubtree, the builder
+// ParseXml runs over the whole document (peak memory is bounded by the
 // largest record plus one columnar batch per relation, independent of
 // document size), routes it to its schema node by tag name, walks it with
 // the mapping layer's one schema walker (schema_walker.h), and appends

@@ -76,7 +76,7 @@ void Database::DropTable(const std::string& name) {
   }
 }
 
-Status Database::CreateIndex(const IndexDef& def, int num_threads) {
+Status Database::CreateIndex(const IndexDef& def) {
   XS_RETURN_IF_ERROR(FaultInjector::Global()->Check(kFaultSiteIndexBuild));
   if (indexes_.count(def.name) > 0) return AlreadyExists("index " + def.name);
   const Table* table = FindTable(def.table);
@@ -86,7 +86,7 @@ Status Database::CreateIndex(const IndexDef& def, int num_threads) {
       return InvalidArgument("bad key column ordinal in " + def.name);
     }
   }
-  indexes_[def.name] = std::make_unique<BTreeIndex>(def, *table, num_threads);
+  indexes_[def.name] = std::make_unique<BTreeIndex>(def, *table);
   return Status::OK();
 }
 

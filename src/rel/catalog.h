@@ -138,12 +138,8 @@ class Database {
   // roll back created tables after a mid-ingest failure (all-or-nothing).
   void DropTable(const std::string& name);
 
-  // Builds a real index over the named table's current rows. With
-  // `num_threads` > 1 the key encode / sort / gather phases run on a
-  // thread pool (sorted runs + k-way merge); entry order is the total
-  // order (keys..., rid), so the built index is bit-identical at every
-  // thread count.
-  Status CreateIndex(const IndexDef& def, int num_threads = 1);
+  // Builds a real index over the named table's current rows.
+  Status CreateIndex(const IndexDef& def);
   const BTreeIndex* FindIndex(const std::string& name) const;
   std::vector<const BTreeIndex*> IndexesOn(const std::string& table) const;
 

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "rel/column_reader.h"
 
 namespace xmlshred {
@@ -76,17 +75,49 @@ std::string IndexDef::ToString(const TableSchema& schema) const {
   return out;
 }
 
-BTreeIndex::BTreeIndex(IndexDef def, const Table& table, int num_threads)
+BTreeIndex::BTreeIndex(IndexDef def, const Table& table)
     : def_(std::move(def)), dict_(table.shared_dictionary()) {
   size_t nkeys = def_.key_columns.size();
   width_ = static_cast<int>(nkeys + def_.included_columns.size());
+  size_t width = static_cast<size_t>(width_);
   size_t n = static_cast<size_t>(table.row_count());
+  std::vector<int> entry_columns = def_.key_columns;
+  entry_columns.insert(entry_columns.end(), def_.included_columns.begin(),
+                       def_.included_columns.end());
 
-  // Encode all key columns up front; sort row ids by (keys, rid). The
-  // encoded order is exactly TotalLess per key column, so the entry order
-  // matches what per-Value comparisons would produce — without a single
-  // string comparison.
+  // Read each entry column (keys, then included columns) once, in row
+  // order — each sealed block decodes once — staging the cells row-major
+  // and encoding the keys. The encoded order is exactly TotalLess per key
+  // column, so sorting row ids by (keys, rid) gives the order per-Value
+  // comparisons would, without a single string comparison.
+  std::vector<uint8_t> row_tags(n * width);
+  std::vector<uint64_t> row_data(n * width);
   std::vector<SortKey> row_keys(n * nkeys);
+  int64_t bytes = 8 * static_cast<int64_t>(n);  // row ids
+  for (size_t p = 0; p < width; ++p) {
+    ColumnReader reader(table.column(entry_columns[p]),
+                        DefaultStorageReadMode());
+    for (size_t rid = 0; rid < n; ++rid) {
+      Cell cell = reader.At(rid);
+      row_tags[rid * width + p] = cell.tag;
+      row_data[rid * width + p] = cell.bits;
+      if (p < nkeys) row_keys[rid * nkeys + p] = EncodeCellKey(cell, *dict_);
+      switch (static_cast<CellTag>(cell.tag)) {
+        case CellTag::kNull:
+          bytes += 4;
+          break;
+        case CellTag::kInt:
+        case CellTag::kReal:
+          bytes += 8;
+          break;
+        case CellTag::kStr:
+          bytes += static_cast<int64_t>(
+                       dict_->str(static_cast<uint32_t>(cell.bits)).size()) +
+                   2;
+          break;
+      }
+    }
+  }
   auto entry_less = [&row_keys, nkeys](int64_t a, int64_t b) {
     size_t ba = static_cast<size_t>(a) * nkeys;
     size_t bb = static_cast<size_t>(b) * nkeys;
@@ -98,125 +129,22 @@ BTreeIndex::BTreeIndex(IndexDef def, const Table& table, int num_threads)
     }
     return a < b;
   };
-  auto encode_range = [&](size_t lo, size_t hi) {
-    for (size_t k = 0; k < nkeys; ++k) {
-      ColumnReader reader(table.column(def_.key_columns[k]),
-                          DefaultStorageReadMode());
-      for (size_t rid = lo; rid < hi; ++rid) {
-        row_keys[rid * nkeys + k] = EncodeCellKey(reader.At(rid), *dict_);
-      }
-    }
-  };
+  rids_.resize(n);
+  std::iota(rids_.begin(), rids_.end(), 0);
+  std::sort(rids_.begin(), rids_.end(), entry_less);
 
-  int workers = num_threads;
-  if (workers > 1 && static_cast<size_t>(workers) > n) {
-    workers = static_cast<int>(n);
-  }
-  std::vector<int64_t> order;
-  if (workers <= 1) {
-    encode_range(0, n);
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), entry_less);
-  } else {
-    // The dictionary rank table is built lazily on the first string-key
-    // encode; force it once up front so workers read it lock-free.
-    dict_->ranks();
-    std::vector<size_t> bounds(static_cast<size_t>(workers) + 1);
-    for (size_t w = 0; w <= static_cast<size_t>(workers); ++w) {
-      bounds[w] = n * w / static_cast<size_t>(workers);
-    }
-    // Each worker encodes its contiguous row range (private ColumnReaders
-    // — block decode scratch is per-reader) and sorts it into a run.
-    std::vector<std::vector<int64_t>> runs(static_cast<size_t>(workers));
-    ParallelFor(workers, workers, [&](int w) {
-      size_t lo = bounds[static_cast<size_t>(w)];
-      size_t hi = bounds[static_cast<size_t>(w) + 1];
-      encode_range(lo, hi);
-      std::vector<int64_t>& run = runs[static_cast<size_t>(w)];
-      run.resize(hi - lo);
-      std::iota(run.begin(), run.end(), static_cast<int64_t>(lo));
-      std::sort(run.begin(), run.end(), entry_less);
-    });
-    // K-way merge of the sorted runs. entry_less is a strict total order
-    // (rid tiebreak), so the merged sequence is the unique sorted
-    // permutation — identical to one global sort.
-    order.resize(n);
-    std::vector<size_t> cursor(static_cast<size_t>(workers), 0);
-    for (size_t out = 0; out < n; ++out) {
-      int best = -1;
-      for (int w = 0; w < workers; ++w) {
-        const std::vector<int64_t>& run = runs[static_cast<size_t>(w)];
-        size_t c = cursor[static_cast<size_t>(w)];
-        if (c >= run.size()) continue;
-        if (best < 0 ||
-            entry_less(run[c], runs[static_cast<size_t>(best)]
-                                   [cursor[static_cast<size_t>(best)]])) {
-          best = w;
-        }
-      }
-      order[out] = runs[static_cast<size_t>(best)]
-                       [cursor[static_cast<size_t>(best)]++];
-    }
-  }
-
-  // Gather entry cells (keys then included columns) in sorted order.
-  size_t width = static_cast<size_t>(width_);
+  // Permute the staged cells and keys into entry order.
   tags_.resize(n * width);
   data_.resize(n * width);
   keys_.resize(n * nkeys);
-  rids_ = std::move(order);
-  auto gather_range = [&](size_t lo, size_t hi) -> int64_t {
-    std::vector<ColumnReader> entry_cols;
-    entry_cols.reserve(width);
-    for (int c : def_.key_columns) {
-      entry_cols.emplace_back(table.column(c), DefaultStorageReadMode());
-    }
-    for (int c : def_.included_columns) {
-      entry_cols.emplace_back(table.column(c), DefaultStorageReadMode());
-    }
-    int64_t bytes = 0;
-    for (size_t e = lo; e < hi; ++e) {
-      size_t rid = static_cast<size_t>(rids_[e]);
-      for (size_t p = 0; p < width; ++p) {
-        Cell cell = entry_cols[p].At(rid);
-        tags_[e * width + p] = cell.tag;
-        data_[e * width + p] = cell.bits;
-        switch (static_cast<CellTag>(cell.tag)) {
-          case CellTag::kNull:
-            bytes += 4;
-            break;
-          case CellTag::kInt:
-          case CellTag::kReal:
-            bytes += 8;
-            break;
-          case CellTag::kStr:
-            bytes += static_cast<int64_t>(
-                         dict_->str(static_cast<uint32_t>(cell.bits))
-                             .size()) +
-                     2;
-            break;
-        }
-      }
-      for (size_t k = 0; k < nkeys; ++k) {
-        keys_[e * nkeys + k] = row_keys[rid * nkeys + k];
-      }
-      bytes += 8;  // row id
-    }
-    return bytes;
-  };
-  int64_t bytes = 0;
-  if (workers <= 1) {
-    bytes = gather_range(0, n);
-  } else {
-    std::vector<int64_t> worker_bytes(static_cast<size_t>(workers), 0);
-    ParallelFor(workers, workers, [&](int w) {
-      size_t lo = n * static_cast<size_t>(w) / static_cast<size_t>(workers);
-      size_t hi =
-          n * (static_cast<size_t>(w) + 1) / static_cast<size_t>(workers);
-      worker_bytes[static_cast<size_t>(w)] = gather_range(lo, hi);
-    });
-    for (int64_t b : worker_bytes) bytes += b;
+  for (size_t e = 0; e < n; ++e) {
+    size_t rid = static_cast<size_t>(rids_[e]);
+    std::copy_n(row_tags.data() + rid * width, width,
+                tags_.data() + e * width);
+    std::copy_n(row_data.data() + rid * width, width,
+                data_.data() + e * width);
+    std::copy_n(row_keys.data() + rid * nkeys, nkeys,
+                keys_.data() + e * nkeys);
   }
   entry_bytes_ =
       n == 0 ? 16.0 : static_cast<double>(bytes) / static_cast<double>(n);

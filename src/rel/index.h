@@ -77,14 +77,11 @@ struct IndexDef {
 
 class BTreeIndex {
  public:
-  // Builds the index over the current contents of `table`. With
-  // `num_threads` > 1 the key encode runs on per-thread row ranges, each
-  // range is sorted independently, and the runs are k-way merged; the
-  // entry comparator (keys..., rid) is a strict total order with no
-  // duplicates, so the merged entry array is the unique sorted
-  // permutation — bit-identical to the serial std::sort build at every
-  // thread count. <= 1 takes the exact legacy serial path.
-  BTreeIndex(IndexDef def, const Table& table, int num_threads = 1);
+  // Builds the index over the current contents of `table`: one pass over
+  // each entry column in row order, one sort of the row ids by
+  // (keys..., rid), then a permutation of the staged cells into entry
+  // order.
+  BTreeIndex(IndexDef def, const Table& table);
 
   const IndexDef& def() const { return def_; }
 

@@ -10,19 +10,6 @@ namespace xmlshred {
 
 Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
                                           const XmlDocument& doc,
-                                          const XPathWorkload& workload) {
-  return EvaluateOnData(result, doc, workload, ExecContext{});
-}
-
-Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
-                                          const XmlDocument& doc,
-                                          const XPathWorkload& workload,
-                                          const ExecContext& exec) {
-  return EvaluateOnData(result, doc, workload, exec, EvaluateOptions{});
-}
-
-Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
-                                          const XmlDocument& doc,
                                           const XPathWorkload& workload,
                                           const ExecContext& exec,
                                           const EvaluateOptions& options) {
@@ -77,12 +64,7 @@ Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
   exec_options.governor = exec.governor;
   exec_options.metrics = exec.metrics;
   exec_options.capture_timing = options.capture_timing;
-  // Morsel workers per query (bit-identical results at any value, so
-  // evaluation totals are unaffected); <= 1 runs the morsels on this
-  // thread. The context overrides the options-struct default, as
-  // everywhere else.
-  exec_options.exec_threads =
-      exec.exec_threads > 0 ? exec.exec_threads : options.exec_threads;
+  exec_options.exec_threads = options.exec_threads;
   // Explain trees are cheap (one small node per operator); build them
   // whenever either a caller wants them or a registry is listening for
   // calibration q-errors.

@@ -24,36 +24,27 @@ struct WorkloadEvaluation {
   std::vector<QueryExplain> explains;
 };
 
-// Inherits the shared ExecKnobs: `collect_explain` keeps each query's
-// explain tree in WorkloadEvaluation::explains; `capture_timing` records
-// per-operator wall time in them (clock reads; breaks bit-identity of
-// timing fields, like trace durations). `exec_threads` here is a default
-// only — ExecContext::exec_threads > 0 overrides it, matching the other
-// entry points' resolution order.
-struct EvaluateOptions : ExecKnobs {};
+struct EvaluateOptions {
+  // Morsel workers per executed query (ExecOptions::exec_threads); the
+  // evaluation totals are identical at any value.
+  int exec_threads = 1;
+  // Records per-operator wall time in the explain trees (clock reads;
+  // breaks bit-identity of timing fields, like trace durations).
+  bool capture_timing = false;
+  // Keeps each query's explain tree in WorkloadEvaluation::explains.
+  bool collect_explain = false;
+};
 
 // Loads `doc` under `result`'s mapping, applies its configuration, and
-// runs `workload` end-to-end.
-Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
-                                          const XmlDocument& doc,
-                                          const XPathWorkload& workload);
-
-// ExecContext overload: additionally publishes the "shred.*" counters
-// (rows/elements loaded), the "exec.*" metrics (queries run, rows out,
-// metered work and page reads), "planner.*" for each executed query, and
-// the "calibration.*" estimated-vs-actual q-errors to exec.metrics, under
-// "evaluate"/"exec.query" spans on exec.trace.
-Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
-                                          const XmlDocument& doc,
-                                          const XPathWorkload& workload,
-                                          const ExecContext& exec);
-
-// Full-options overload; the others forward here with defaults.
-Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
-                                          const XmlDocument& doc,
-                                          const XPathWorkload& workload,
-                                          const ExecContext& exec,
-                                          const EvaluateOptions& options);
+// runs `workload` end-to-end. With exec.metrics set, also publishes the
+// "shred.*" counters (rows/elements loaded), the "exec.*" metrics
+// (queries run, rows out, metered work and page reads), "planner.*" for
+// each executed query, and the "calibration.*" estimated-vs-actual
+// q-errors; exec.trace receives "evaluate"/"exec.query" spans.
+Result<WorkloadEvaluation> EvaluateOnData(
+    const SearchResult& result, const XmlDocument& doc,
+    const XPathWorkload& workload, const ExecContext& exec = {},
+    const EvaluateOptions& options = {});
 
 }  // namespace xmlshred
 

@@ -153,15 +153,6 @@ void FinishSearch(const DesignProblem& problem, CurrentState state,
   FinalizeSearchResult(problem, result);
 }
 
-// The worker count actually used: exec.num_threads when positive, else
-// the options-struct value, resolved against the hardware.
-int EffectiveNumThreads(const DesignProblem& problem,
-                        const SearchOptions& options) {
-  return ResolveNumThreads(problem.exec.num_threads > 0
-                               ? problem.exec.num_threads
-                               : options.num_threads);
-}
-
 // The element name a repetition split/merge candidate concerns, resolved
 // in `tree`; empty when not a repetition transformation.
 std::string RepetitionElementName(const SchemaTree& tree,
@@ -580,7 +571,7 @@ Result<SearchResult> GreedySearch(const DesignProblem& problem,
   // --- Greedy loop (Fig. 3 lines 6-19). Anytime: the loop stops the
   // moment the budget runs out, keeping the best fully costed state. ---
   std::vector<bool> consumed(loop_candidates.size(), false);
-  const int num_threads = EffectiveNumThreads(problem, options);
+  const int num_threads = ResolveNumThreads(options.num_threads);
   CostStep cost_step = [&](const Transform& candidate, SchemaTree* tree,
                            SearchTelemetry* delta,
                            SpanScope* span) -> Result<double> {
@@ -657,7 +648,7 @@ Result<SearchResult> NaiveGreedySearch(const DesignProblem& problem,
       CurrentState current,
       FullCost(problem, problem.tree->Clone(), &telemetry));
 
-  const int num_threads = EffectiveNumThreads(problem, options);
+  const int num_threads = ResolveNumThreads(options.num_threads);
   CostStep cost_step = [&problem](const Transform&, SchemaTree* tree,
                                   SearchTelemetry* delta,
                                   SpanScope* span) -> Result<double> {
@@ -754,7 +745,7 @@ Result<SearchResult> TwoStepSearch(const DesignProblem& problem,
       TwoStepLogicalCost(problem, *current, /*mandatory=*/true, &telemetry));
 
   // Phase 1: the logical mapping, costed under the default indexes only.
-  const int num_threads = EffectiveNumThreads(problem, options);
+  const int num_threads = ResolveNumThreads(options.num_threads);
   CostStep cost_step = [&problem](const Transform&, SchemaTree* tree,
                                   SearchTelemetry* delta,
                                   SpanScope* span) -> Result<double> {

@@ -38,7 +38,6 @@ struct SearchOptions {
   // serially, costed in isolation, and reduced in enumeration order
   // (DESIGN.md §8) — except that runs truncated by a governor may stop at
   // a different candidate.
-  // DesignProblem::exec.num_threads > 0 overrides this.
   int num_threads = 0;
   // Safety valve on search rounds (the algorithms converge earlier).
   int max_rounds = 32;

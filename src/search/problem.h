@@ -39,9 +39,8 @@ struct DesignProblem {
   std::vector<XmlUpdateLoad> updates;     // optional insert load
   int64_t storage_bound_pages = 1LL << 40;
   TunerOptions tuner_options;             // storage bound is set per call
-  // Execution environment: governor, metrics registry, trace sink, thread
-  // count (DESIGN.md §9). Every field optional; `exec.num_threads > 0`
-  // overrides the options-struct thread count.
+  // Execution environment: governor, metrics registry, trace sink
+  // (DESIGN.md §9). Every field optional.
   //
   // `exec.governor` is shared by every tuner/optimizer call the search
   // makes. When its work budget or deadline runs out, the search

@@ -651,7 +651,7 @@ Status SessionManager::AppendAndPublish(const std::string& table,
     }
     for (const IndexDef& def : defs) {
       db_->DropIndex(def.name);
-      Status rebuilt = db_->CreateIndex(def, config_.exec_threads);
+      Status rebuilt = db_->CreateIndex(def);
       if (!rebuilt.ok() && index_status.ok()) index_status = rebuilt;
     }
     db_->PublishEpoch();
@@ -703,7 +703,6 @@ Result<ShredStats> SessionManager::IngestAndPublish(std::string_view xml,
         "before ingesting)");
   }
   StreamShredOptions options;
-  options.threads = config_.ingest_threads;
   options.metrics = metrics_;
   auto stats = ShredStream(xml, tree_, mapping_, db_, options);
   if (!stats.ok()) return stats.status();

@@ -66,14 +66,12 @@
 
 namespace xmlshred {
 
-// Inherits the shared ExecKnobs: `exec_threads` is the intra-query morsel
-// worker count per request (results, metering, and governor trip points
-// are bit-identical at any value — the per-request governor is the shared
-// budget pool its workers charge through — so it only changes request
-// latency); `capture_timing` / `collect_explain` are accepted for
-// uniformity but per-request observability lives in `telemetry` below
-// (head-sampled span traces, not full explain trees).
-struct ServeConfig : ExecKnobs {
+struct ServeConfig {
+  // Intra-query morsel workers per request. Results, metering, and
+  // governor trip points are bit-identical at any value — the per-request
+  // governor is the shared budget pool its workers charge through — so it
+  // only changes request latency.
+  int exec_threads = 1;
   // Execution slots: requests running concurrently (overlapping in
   // virtual time under the DES driver, real threads under Submit).
   int max_concurrent = 4;
@@ -84,11 +82,6 @@ struct ServeConfig : ExecKnobs {
   double global_work_budget = 0;
   // Default per-session work budget for OpenSession(0); <= 0 unlimited.
   double session_work_budget = 0;
-  // Worker threads for streaming bulk ingest (IngestAndPublish). The
-  // resulting database state, metrics, and error behaviour are
-  // bit-identical at every value (DESIGN.md §17), so this only changes
-  // ingest latency.
-  int ingest_threads = 1;
   // Continuous telemetry (serve/telemetry.h). All-off by default: the
   // manager then allocates no telemetry object and the request path pays
   // one null check — no clock reads, no recorder allocations.
@@ -190,9 +183,9 @@ class SessionManager {
                           const std::vector<Row>& rows, double now = 0);
 
   // Bulk-ingests an XML document through the streaming shredder
-  // (mapping/stream_shredder.h) with config.ingest_threads workers,
-  // creating the mapping's tables in the shared database, then publishes
-  // a new epoch. Same contract as AppendAndPublish: the
+  // (mapping/stream_shredder.h), creating the mapping's tables in the
+  // shared database, then publishes a new epoch. Same contract as
+  // AppendAndPublish: the
   // "serve.epoch_publish" fault site is checked before any mutation,
   // materialized views refuse the write, the database write lock
   // excludes running queries, and a failed shred rolls itself back

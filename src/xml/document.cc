@@ -1,10 +1,8 @@
 #include "xml/document.h"
 
-#include <cctype>
-
-#include "common/strings.h"
-#include "common/trace.h"
+#include "common/logging.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 
 namespace xmlshred {
 
@@ -109,182 +107,40 @@ std::string XmlDocument::ToXml() const {
 
 namespace {
 
-class XmlParser {
- public:
-  XmlParser(std::string_view xml, ResourceGovernor* governor)
-      : xml_(xml), governor_(governor) {}
-
-  Result<XmlDocument> Parse() {
-    SkipProlog();
-    XS_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> root, ParseElement());
-    SkipWhitespaceAndComments();
-    if (pos_ < xml_.size()) {
-      return InvalidArgument("content after document element");
-    }
-    return XmlDocument(std::move(root));
+std::unique_ptr<XmlElement> NewElement(const XmlEvent& start) {
+  auto element = std::make_unique<XmlElement>(std::string(start.name));
+  for (const XmlRawAttribute& attr : start.attributes) {
+    element->AddAttribute(std::string(attr.name),
+                          DecodeEntities(attr.raw_value));
   }
-
- private:
-  void SkipWhitespaceAndComments() {
-    while (pos_ < xml_.size()) {
-      if (std::isspace(static_cast<unsigned char>(xml_[pos_]))) {
-        ++pos_;
-      } else if (Matches("<!--")) {
-        size_t end = xml_.find("-->", pos_);
-        pos_ = end == std::string_view::npos ? xml_.size() : end + 3;
-      } else {
-        break;
-      }
-    }
-  }
-
-  void SkipProlog() {
-    SkipWhitespaceAndComments();
-    while (Matches("<?") || Matches("<!DOCTYPE")) {
-      size_t end = xml_.find('>', pos_);
-      pos_ = end == std::string_view::npos ? xml_.size() : end + 1;
-      SkipWhitespaceAndComments();
-    }
-  }
-
-  bool Matches(std::string_view prefix) const {
-    return xml_.substr(pos_, prefix.size()) == prefix;
-  }
-
-  static bool IsNameChar(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           c == '-' || c == '.' || c == ':';
-  }
-
-  Result<std::string> ParseName() {
-    size_t start = pos_;
-    while (pos_ < xml_.size() && IsNameChar(xml_[pos_])) ++pos_;
-    if (pos_ == start) return InvalidArgument("expected XML name");
-    return std::string(xml_.substr(start, pos_ - start));
-  }
-
-  static std::string Unescape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size());
-    size_t i = 0;
-    while (i < s.size()) {
-      if (s[i] == '&') {
-        if (s.substr(i, 5) == "&amp;") {
-          out.push_back('&');
-          i += 5;
-          continue;
-        }
-        if (s.substr(i, 4) == "&lt;") {
-          out.push_back('<');
-          i += 4;
-          continue;
-        }
-        if (s.substr(i, 4) == "&gt;") {
-          out.push_back('>');
-          i += 4;
-          continue;
-        }
-        if (s.substr(i, 6) == "&quot;") {
-          out.push_back('"');
-          i += 6;
-          continue;
-        }
-        if (s.substr(i, 6) == "&apos;") {
-          out.push_back('\'');
-          i += 6;
-          continue;
-        }
-      }
-      out.push_back(s[i++]);
-    }
-    return out;
-  }
-
-  Result<std::unique_ptr<XmlElement>> ParseElement() {
-    RecursionScope scope(governor_);
-    XS_RETURN_IF_ERROR(scope.status());
-    SkipWhitespaceAndComments();
-    if (!Matches("<")) return InvalidArgument("expected element");
-    ++pos_;
-    XS_ASSIGN_OR_RETURN(std::string tag, ParseName());
-    auto element = std::make_unique<XmlElement>(tag);
-    // Attributes.
-    while (true) {
-      while (pos_ < xml_.size() &&
-             std::isspace(static_cast<unsigned char>(xml_[pos_]))) {
-        ++pos_;
-      }
-      if (pos_ >= xml_.size()) return InvalidArgument("unterminated tag");
-      if (Matches("/>")) {
-        pos_ += 2;
-        return element;
-      }
-      if (Matches(">")) {
-        ++pos_;
-        break;
-      }
-      XS_ASSIGN_OR_RETURN(std::string attr, ParseName());
-      if (!Matches("=")) return InvalidArgument("expected '=' in attribute");
-      ++pos_;
-      if (pos_ >= xml_.size() || (xml_[pos_] != '"' && xml_[pos_] != '\'')) {
-        return InvalidArgument("expected quoted attribute value");
-      }
-      char quote = xml_[pos_++];
-      size_t end = xml_.find(quote, pos_);
-      if (end == std::string_view::npos) {
-        return InvalidArgument("unterminated attribute value");
-      }
-      element->AddAttribute(std::move(attr),
-                            Unescape(xml_.substr(pos_, end - pos_)));
-      pos_ = end + 1;
-    }
-    // Content.
-    while (true) {
-      if (pos_ >= xml_.size()) return InvalidArgument("unterminated element");
-      if (Matches("<!--")) {
-        size_t end = xml_.find("-->", pos_);
-        if (end == std::string_view::npos) {
-          return InvalidArgument("unterminated comment");
-        }
-        pos_ = end + 3;
-        continue;
-      }
-      if (Matches("</")) {
-        pos_ += 2;
-        XS_ASSIGN_OR_RETURN(std::string close, ParseName());
-        if (close != tag) {
-          return InvalidArgument("mismatched close tag: " + close +
-                                 " for " + tag);
-        }
-        SkipWhitespaceAndComments();
-        if (!Matches(">")) return InvalidArgument("expected '>'");
-        ++pos_;
-        return element;
-      }
-      if (Matches("<")) {
-        XS_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> child,
-                            ParseElement());
-        element->AddChild(std::move(child));
-        continue;
-      }
-      size_t next = xml_.find('<', pos_);
-      if (next == std::string_view::npos) {
-        return InvalidArgument("unterminated element content");
-      }
-      std::string_view raw = xml_.substr(pos_, next - pos_);
-      std::string text = Unescape(raw);
-      std::string_view trimmed = StripWhitespace(text);
-      if (!trimmed.empty()) element->append_text(trimmed);
-      pos_ = next;
-    }
-  }
-
-  std::string_view xml_;
-  ResourceGovernor* governor_;
-  size_t pos_ = 0;
-};
+  return element;
+}
 
 }  // namespace
+
+Result<std::unique_ptr<XmlElement>> BuildSubtree(const XmlEvent& start,
+                                                 XmlStreamParser* parser) {
+  XS_CHECK(start.kind == XmlEventKind::kStartElement);
+  std::unique_ptr<XmlElement> root = NewElement(start);
+  std::vector<XmlElement*> open = {root.get()};
+  while (!open.empty()) {
+    XS_ASSIGN_OR_RETURN(XmlEvent event, parser->Next());
+    switch (event.kind) {
+      case XmlEventKind::kStartElement:
+        open.push_back(open.back()->AddChild(NewElement(event)));
+        break;
+      case XmlEventKind::kEndElement:
+        open.pop_back();
+        break;
+      case XmlEventKind::kText:
+        AppendDecodedText(event.raw_text, open.back()->mutable_text());
+        break;
+      case XmlEventKind::kEndOfInput:
+        return Internal("unbalanced event stream");
+    }
+  }
+  return root;
+}
 
 Result<XmlDocument> ParseXml(std::string_view xml,
                              const ParseOptions& options) {
@@ -306,10 +162,16 @@ Result<XmlDocument> ParseXml(std::string_view xml,
     }
     return doc;
   }
-  ResourceGovernor stack_safety;  // used when the caller passes none
-  XmlParser parser(
-      xml, options.governor != nullptr ? options.governor : &stack_safety);
-  return parser.Parse();
+  StreamParseOptions stream_options;
+  stream_options.governor = options.governor;
+  XmlStreamParser parser(xml, stream_options);
+  XS_ASSIGN_OR_RETURN(XmlEvent start, parser.Next());
+  XS_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> root,
+                      BuildSubtree(start, &parser));
+  // Fails on content after the document element.
+  XS_ASSIGN_OR_RETURN(XmlEvent tail, parser.Next());
+  XS_CHECK(tail.kind == XmlEventKind::kEndOfInput);
+  return XmlDocument(std::move(root));
 }
 
 }  // namespace xmlshred

@@ -1,7 +1,9 @@
 // In-memory XML document model (elements, attributes, text), plus parsing
-// and serialization. The subset supported is what business-data XML needs:
-// nested elements, attributes, character data, entities, comments, and
-// processing instructions / XML declarations (skipped).
+// and serialization. The document is a view built from the events of the
+// one XML tokenizer, XmlStreamParser (xml/stream_parser.h), which defines
+// the accepted subset: nested elements, attributes, character data,
+// entities, comments, and processing instructions / XML declarations
+// (skipped).
 
 #ifndef XMLSHRED_XML_DOCUMENT_H_
 #define XMLSHRED_XML_DOCUMENT_H_
@@ -16,6 +18,7 @@
 #include "common/limits.h"
 #include "common/status.h"
 #include "xml/parse_options.h"
+#include "xml/stream_parser.h"
 
 namespace xmlshred {
 
@@ -27,8 +30,8 @@ class XmlElement {
 
   const std::string& tag() const { return tag_; }
   const std::string& text() const { return text_; }
+  std::string* mutable_text() { return &text_; }
   void set_text(std::string text) { text_ = std::move(text); }
-  void append_text(std::string_view text) { text_.append(text); }
 
   const std::vector<std::pair<std::string, std::string>>& attributes() const {
     return attributes_;
@@ -83,12 +86,23 @@ class XmlDocument {
   std::unique_ptr<XmlElement> root_;
 };
 
-// Parses XML text into a document. Element nesting is bounded by the
+// Builds the element whose start event the caller just took from
+// `parser`, consuming events through its matching end: attributes with
+// entities decoded, children in document order, and every text run
+// decoded and whitespace-stripped (AppendDecodedText) onto the text of
+// its enclosing element. ParseXml runs it over the document element; the
+// streaming shredder runs it over one record at a time.
+Result<std::unique_ptr<XmlElement>> BuildSubtree(const XmlEvent& start,
+                                                 XmlStreamParser* parser);
+
+// Parses XML text into a document: BuildSubtree over the document
+// element of an XmlStreamParser, so the accepted language and every
+// error message are the tokenizer's. Element nesting is bounded by the
 // resolved governor's recursion-depth limit (kDefaultMaxRecursionDepth
-// when none is supplied) — deeper input returns kResourceExhausted
-// rather than overflowing the stack. With options.exec set, the parse
-// also emits a "parse.xml" span on exec->trace and the "parse.xml.*"
-// counters on exec->metrics (documents parsed, elements in the tree).
+// when none is supplied) — deeper input returns kResourceExhausted.
+// With options.exec set, the parse also emits a "parse.xml" span on
+// exec->trace and the "parse.xml.*" counters on exec->metrics (documents
+// parsed, elements in the tree).
 Result<XmlDocument> ParseXml(std::string_view xml,
                              const ParseOptions& options = {});
 

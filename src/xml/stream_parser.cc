@@ -21,49 +21,43 @@ bool IsAllWhitespace(std::string_view s) {
   return true;
 }
 
-std::string Unescape(std::string_view s) {
+}  // namespace
+
+std::string DecodeEntities(std::string_view raw) {
+  static constexpr std::pair<std::string_view, char> kEntities[] = {
+      {"&amp;", '&'}, {"&lt;", '<'}, {"&gt;", '>'}, {"&quot;", '"'},
+      {"&apos;", '\''}};
   std::string out;
-  out.reserve(s.size());
+  out.reserve(raw.size());
   size_t i = 0;
-  while (i < s.size()) {
-    if (s[i] == '&') {
-      if (s.substr(i, 5) == "&amp;") {
-        out.push_back('&');
-        i += 5;
-        continue;
-      }
-      if (s.substr(i, 4) == "&lt;") {
-        out.push_back('<');
-        i += 4;
-        continue;
-      }
-      if (s.substr(i, 4) == "&gt;") {
-        out.push_back('>');
-        i += 4;
-        continue;
-      }
-      if (s.substr(i, 6) == "&quot;") {
-        out.push_back('"');
-        i += 6;
-        continue;
-      }
-      if (s.substr(i, 6) == "&apos;") {
-        out.push_back('\'');
-        i += 6;
-        continue;
+  while (i < raw.size()) {
+    size_t amp = raw.find('&', i);
+    if (amp == std::string_view::npos) amp = raw.size();
+    out.append(raw.substr(i, amp - i));
+    i = amp;
+    if (i == raw.size()) break;
+    char decoded = '&';
+    size_t width = 1;
+    for (const auto& [entity, c] : kEntities) {
+      if (raw.substr(i, entity.size()) == entity) {
+        decoded = c;
+        width = entity.size();
+        break;
       }
     }
-    out.push_back(s[i++]);
+    out.push_back(decoded);
+    i += width;
   }
   return out;
 }
 
-}  // namespace
-
 void AppendDecodedText(std::string_view raw, std::string* out) {
-  std::string text = Unescape(raw);
-  std::string_view trimmed = StripWhitespace(text);
-  if (!trimmed.empty()) out->append(trimmed);
+  // A run without '&' decodes to itself, so it strips in place.
+  if (raw.find('&') == std::string_view::npos) {
+    out->append(StripWhitespace(raw));
+    return;
+  }
+  out->append(StripWhitespace(DecodeEntities(raw)));
 }
 
 XmlStreamParser::XmlStreamParser(std::string_view xml,
@@ -80,24 +74,6 @@ XmlStreamParser::~XmlStreamParser() {
     governor_->LeaveRecursion();
     --entered_depth_;
   }
-}
-
-Result<XmlEvent> XmlStreamParser::Next() {
-  if (has_peek_) {
-    has_peek_ = false;
-    Result<XmlEvent> event = std::move(peeked_);
-    peeked_ = Result<XmlEvent>(XmlEvent{});
-    return event;
-  }
-  return Advance();
-}
-
-Result<XmlEvent> XmlStreamParser::Peek() {
-  if (!has_peek_) {
-    peeked_ = Advance();
-    has_peek_ = true;
-  }
-  return peeked_;
 }
 
 Result<XmlEvent> XmlStreamParser::Fail(Status error) {
@@ -148,39 +124,31 @@ Result<XmlEvent> XmlStreamParser::ParseStartTag() {
   ++pos_;  // consume '<'
   Result<std::string_view> tag_or = ParseName();
   if (!tag_or.ok()) return Fail(tag_or.status());
-  std::string_view tag = *tag_or;
-  // Attributes: validated syntactically, values discarded (the shredder
-  // never reads them — same behaviour as the DOM path for shredding).
+  XmlEvent start;
+  start.kind = XmlEventKind::kStartElement;
+  start.name = *tag_or;
+  start.begin = begin;
+  attributes_.clear();
   while (true) {
     while (pos_ < xml_.size() &&
            std::isspace(static_cast<unsigned char>(xml_[pos_]))) {
       ++pos_;
     }
     if (pos_ >= xml_.size()) return Fail(InvalidArgument("unterminated tag"));
-    if (Matches("/>")) {
-      pos_ += 2;
-      XmlEvent start;
-      start.kind = XmlEventKind::kStartElement;
-      start.name = tag;
-      start.begin = begin;
+    bool self_closing = Matches("/>");
+    if (self_closing || Matches(">")) {
+      pos_ += self_closing ? 2 : 1;
       start.end = pos_;
-      open_tags_.push_back(tag);
-      pending_end_ = XmlEvent{};
-      pending_end_.kind = XmlEventKind::kEndElement;
-      pending_end_.name = tag;
-      pending_end_.begin = begin;
-      pending_end_.end = pos_;
-      has_pending_end_ = true;
-      return start;
-    }
-    if (Matches(">")) {
-      ++pos_;
-      XmlEvent start;
-      start.kind = XmlEventKind::kStartElement;
-      start.name = tag;
-      start.begin = begin;
-      start.end = pos_;
-      open_tags_.push_back(tag);
+      start.attributes = attributes_;
+      open_tags_.push_back(start.name);
+      if (self_closing) {
+        pending_end_ = XmlEvent{};
+        pending_end_.kind = XmlEventKind::kEndElement;
+        pending_end_.name = start.name;
+        pending_end_.begin = begin;
+        pending_end_.end = pos_;
+        has_pending_end_ = true;
+      }
       return start;
     }
     Result<std::string_view> attr = ParseName();
@@ -197,11 +165,12 @@ Result<XmlEvent> XmlStreamParser::ParseStartTag() {
     if (end == std::string_view::npos) {
       return Fail(InvalidArgument("unterminated attribute value"));
     }
+    attributes_.push_back({*attr, xml_.substr(pos_, end - pos_)});
     pos_ = end + 1;
   }
 }
 
-Result<XmlEvent> XmlStreamParser::Advance() {
+Result<XmlEvent> XmlStreamParser::Next() {
   if (failed_) return error_;
   if (has_pending_end_) {
     has_pending_end_ = false;
@@ -283,7 +252,7 @@ Result<XmlEvent> XmlStreamParser::Advance() {
     size_t begin = pos_;
     pos_ = next;
     // Entity decoding never introduces whitespace, so an all-whitespace
-    // raw run is exactly the run the DOM parser would discard.
+    // raw run decodes to nothing.
     if (IsAllWhitespace(raw)) continue;
     XmlEvent text;
     text.kind = XmlEventKind::kText;

@@ -1,25 +1,23 @@
-// Pull-based (SAX-style) streaming XML parser.
+// Pull-based (SAX-style) streaming XML parser — the one XML tokenizer.
 //
-// XmlStreamParser tokenizes the same XML subset as ParseXml — nested
+// XmlStreamParser tokenizes the XML subset business data needs — nested
 // elements, attributes, character data, the five named entities,
-// comments, and a skipped prolog — but emits a flat stream of
-// start/end/text events instead of materializing an XmlDocument, so a
-// consumer's peak memory is independent of document size. Events are
-// zero-copy: tag names and raw text are string_views into the input
-// buffer, valid for the buffer's lifetime.
+// comments, and a skipped prolog — and emits a flat stream of
+// start/end/text events, so a consumer's peak memory is independent of
+// document size. ParseXml (xml/document.h) builds its XmlDocument from
+// these events. Events are zero-copy: tag names, raw text, and attribute
+// views point into the input buffer, valid for the buffer's lifetime.
 //
-// The two parsers accept exactly the same language (asserted by the
-// differential tests): the event stream of a document is the pre-order
-// DOM walk, with a self-closing tag producing a start immediately
-// followed by an end, pure-whitespace character runs suppressed, and
-// attribute syntax validated but not surfaced (the shredder never reads
-// attributes). Element nesting is bounded by the resolved governor's
-// recursion-depth limit, exactly like the DOM parser.
+// The event stream of a document is the pre-order walk of its element
+// tree, with a self-closing tag producing a start immediately followed by
+// an end, and pure-whitespace character runs suppressed. Element nesting
+// is bounded by the resolved governor's recursion-depth limit.
 
 #ifndef XMLSHRED_XML_STREAM_PARSER_H_
 #define XMLSHRED_XML_STREAM_PARSER_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +34,13 @@ enum class XmlEventKind {
   kEndOfInput,    // document (or fragment) fully consumed
 };
 
+// One attribute of a start tag, as written: views into the input buffer.
+// Decode the value with DecodeEntities.
+struct XmlRawAttribute {
+  std::string_view name;
+  std::string_view raw_value;
+};
+
 struct XmlEvent {
   XmlEventKind kind = XmlEventKind::kEndOfInput;
   // Start / end: the element tag. Text: empty.
@@ -48,16 +53,22 @@ struct XmlEvent {
   // synthetic end of a self-closing tag), text spans the raw run.
   size_t begin = 0;
   size_t end = 0;
+  // Start: the tag's attributes in source order, valid until the next
+  // call to Next(). Other kinds: empty.
+  std::span<const XmlRawAttribute> attributes;
 };
 
-// Decodes one raw character run exactly the way the DOM parser does —
-// entity unescape, then whitespace strip — and appends the result to
-// *out. An all-whitespace run appends nothing.
+// Replaces the five named entities (&amp; &lt; &gt; &quot; &apos;); any
+// other '&' is kept as written.
+std::string DecodeEntities(std::string_view raw);
+
+// Decodes one raw character run — entities, then whitespace strip — and
+// appends the result to *out. An all-whitespace run appends nothing.
 void AppendDecodedText(std::string_view raw, std::string* out);
 
 struct StreamParseOptions {
   // Depth guard; null applies the kDefaultMaxRecursionDepth stack-safety
-  // floor, matching ParseXml.
+  // floor.
   ResourceGovernor* governor = nullptr;
   // Fragment mode parses a whitespace/comment-separated *sequence* of
   // elements (no prolog, no "content after document element" check) —
@@ -79,24 +90,15 @@ class XmlStreamParser {
   // calls return kEndOfInput / the same error.
   Result<XmlEvent> Next();
 
-  // One-event lookahead; the next call to Next() returns the same event.
-  Result<XmlEvent> Peek();
-
-  // Open-element depth (the root counts as 1 while open).
-  int depth() const { return static_cast<int>(open_tags_.size()); }
-
-  // Current byte offset into the input (diagnostics).
-  size_t offset() const { return pos_; }
-
  private:
-  Result<XmlEvent> Advance();
   Result<XmlEvent> Fail(Status error);
   void SkipWhitespaceAndComments();
   void SkipProlog();
   bool Matches(std::string_view prefix) const;
   Result<std::string_view> ParseName();
-  // Parses "<tag attr="v" ...>" starting at '<'; fills a start event and
-  // queues the synthetic end for a self-closing tag.
+  // Parses "<tag attr="v" ...>" starting at '<'; fills a start event
+  // (attributes recorded in attributes_) and queues the synthetic end for
+  // a self-closing tag.
   Result<XmlEvent> ParseStartTag();
 
   std::string_view xml_;
@@ -105,13 +107,12 @@ class XmlStreamParser {
   bool fragment_ = false;
   size_t pos_ = 0;
   std::vector<std::string_view> open_tags_;
+  std::vector<XmlRawAttribute> attributes_;  // of the last start tag
   int entered_depth_ = 0;  // EnterRecursion calls to undo on destruction
   bool done_ = false;
   bool saw_root_ = false;  // doc mode: root start tag consumed
   bool has_pending_end_ = false;  // self-closing: end event queued
   XmlEvent pending_end_;
-  bool has_peek_ = false;
-  Result<XmlEvent> peeked_{XmlEvent{}};
   bool failed_ = false;
   Status error_ = Status::OK();
 };

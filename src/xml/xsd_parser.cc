@@ -38,6 +38,15 @@ bool IsBaseType(std::string_view type, XsdBaseType* out) {
   return false;
 }
 
+// First child whose tag has local name `local`, under any prefix.
+const XmlElement* FindChildByLocalName(const XmlElement& parent,
+                                       std::string_view local) {
+  for (const auto& child : parent.children()) {
+    if (LocalName(child->tag()) == local) return child.get();
+  }
+  return nullptr;
+}
+
 struct Occurs {
   int min = 1;
   bool unbounded = false;
@@ -114,17 +123,6 @@ class XsdBuilder {
     }
 
     const std::string* type = element.FindAttribute("type");
-    const XmlElement* inline_complex = element.FindChild("xs:complexType");
-    if (inline_complex == nullptr) {
-      // Accept any prefix.
-      for (const auto& child : element.children()) {
-        if (LocalName(child->tag()) == "complexType") {
-          inline_complex = child.get();
-          break;
-        }
-      }
-    }
-
     if (type != nullptr) {
       XsdBaseType base;
       if (IsBaseType(*type, &base)) {
@@ -143,7 +141,8 @@ class XsdBuilder {
       tag->AddChild(std::move(content));
       return tag;
     }
-    if (inline_complex != nullptr) {
+    if (const XmlElement* inline_complex =
+            FindChildByLocalName(element, "complexType")) {
       XS_ASSIGN_OR_RETURN(
           std::unique_ptr<SchemaNode> content,
           BuildComplexContent(*inline_complex,
@@ -151,8 +150,19 @@ class XsdBuilder {
       tag->AddChild(std::move(content));
       return tag;
     }
-    // No type: default to string content.
-    tag->AddChild(tree_->NewSimple(XsdBaseType::kString));
+    // An inline simpleType restricting a base type stores as that base;
+    // anything else (no type, an unknown base) defaults to string.
+    XsdBaseType base = XsdBaseType::kString;
+    const XmlElement* simple = FindChildByLocalName(element, "simpleType");
+    const XmlElement* restriction =
+        simple != nullptr ? FindChildByLocalName(*simple, "restriction")
+                          : nullptr;
+    if (restriction != nullptr) {
+      if (const std::string* restricted = restriction->FindAttribute("base")) {
+        IsBaseType(*restricted, &base);  // leaves kString when unknown
+      }
+    }
+    tag->AddChild(tree_->NewSimple(base));
     return tag;
   }
 

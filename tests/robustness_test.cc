@@ -10,12 +10,16 @@
 #include "common/fault_injection.h"
 #include "common/limits.h"
 #include "common/rng.h"
+#include "database_digest.h"
+#include "mapping/mapping.h"
 #include "mapping/shredder.h"
+#include "mapping/stream_shredder.h"
 #include "mapping/transforms.h"
 #include "search/evaluate.h"
 #include "search/greedy.h"
 #include "sql/parser.h"
 #include "tune/advisor.h"
+#include "workload/dblp.h"
 #include "workload/movie.h"
 #include "workload/query_gen.h"
 #include "xml/document.h"
@@ -123,6 +127,50 @@ TEST_P(FuzzTest, XPathParserNeverCrashes) {
       EXPECT_TRUE(again.ok()) << mutated << "\n -> " << result->ToString();
     }
   }
+}
+
+// Mutants of a small DBLP document through both shred paths: the
+// streaming shredder's root-routed serial path and the whole-document
+// walk over ParseXml's DOM. They must accept and reject alike, agree
+// bit for bit when both accept, and a rejecting ShredStream must leave
+// no table and no dictionary entry behind.
+TEST_P(FuzzTest, ShredPathsAgreeOnMutants) {
+  DblpConfig config;
+  config.num_inproceedings = 12;
+  config.num_books = 3;
+  config.num_conferences = 4;
+  config.num_authors = 100;  // the generator's author bucketing minimum
+  GeneratedData data = GenerateDblp(config);
+  const std::string valid = data.doc.ToXml();
+  auto mapping = Mapping::Build(*data.tree);
+  ASSERT_TRUE(mapping.ok()) << mapping.status();
+
+  Rng rng(static_cast<uint64_t>(GetParam()) * 2750159 + 11);
+  int accepted = 0;
+  for (int i = 0; i < 500; ++i) {
+    std::string mutated = Mutate(valid, &rng);
+    Database stream_db;
+    Result<ShredStats> stream =
+        ShredStream(mutated, *data.tree, *mapping, &stream_db);
+    Database dom_db;
+    Result<XmlDocument> doc = ParseXml(mutated);
+    Status dom = doc.status();
+    if (doc.ok()) {
+      dom = ShredDocument(*doc, *data.tree, *mapping, &dom_db).status();
+    }
+    ASSERT_EQ(stream.ok(), dom.ok())
+        << "stream: " << stream.status() << "\ndom: " << dom << "\n"
+        << mutated;
+    if (stream.ok()) {
+      ++accepted;
+      EXPECT_EQ(DatabaseDigest(stream_db), DatabaseDigest(dom_db))
+          << mutated;
+    } else {
+      EXPECT_TRUE(stream_db.TableNames().empty()) << mutated;
+      EXPECT_EQ(stream_db.dictionary().size(), 0u) << mutated;
+    }
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range(0, 4));

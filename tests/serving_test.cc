@@ -728,42 +728,33 @@ TEST(ServingThreadedTest, ConcurrentSubmitHammerWithMorselWorkers) {
 TEST(ServingIngestTest, StreamIngestPublishesEpochAndServesQueries) {
   ServeFixture& f = Fixture();
   const std::string xml = f.data.doc.ToXml();
-  int64_t serial_rows = -1;
-  for (int threads : {1, 4}) {
-    Database db;
-    ServeConfig config;
-    config.ingest_threads = threads;
-    SessionManager manager(&db, *f.data.tree, *f.mapping, config, nullptr);
-    const uint64_t base_epoch = manager.current_epoch();
+  Database db;
+  SessionManager manager(&db, *f.data.tree, *f.mapping, ServeConfig{},
+                         nullptr);
+  const uint64_t base_epoch = manager.current_epoch();
 
-    auto stats = manager.IngestAndPublish(xml, /*now=*/0);
-    ASSERT_TRUE(stats.ok()) << stats.status();
-    EXPECT_GT(stats->rows, 0);
-    EXPECT_EQ(manager.current_epoch(), base_epoch + 1);
+  auto stats = manager.IngestAndPublish(xml, /*now=*/0);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_GT(stats->rows, 0);
+  EXPECT_EQ(manager.current_epoch(), base_epoch + 1);
 
-    // The admission catalog was rebuilt: a request admitted after the
-    // publish plans against the ingested tables and sees every row.
-    uint64_t session = manager.OpenSession();
-    ServeRequest request;
-    request.query = ServeFixture::ScanAllQuery();
-    ServeResponse shed;
-    uint64_t ticket = 0;
-    ASSERT_EQ(manager.Offer(session, request, 0, &shed, &ticket),
-              AdmitOutcome::kRun);
-    ServeResponse resp = manager.ExecuteTicket(ticket, 0);
-    manager.CompleteTicket(ticket, resp.work);
-    ASSERT_TRUE(resp.status.ok()) << resp.status;
-    EXPECT_EQ(resp.epoch, base_epoch + 1);
-    EXPECT_EQ(resp.rows_out, db.FindTable("inproc")->row_count());
-    if (serial_rows < 0) {
-      serial_rows = resp.rows_out;
-      EXPECT_GT(serial_rows, 0);
-    } else {
-      EXPECT_EQ(resp.rows_out, serial_rows) << "threads=" << threads;
-    }
-    EXPECT_TRUE(manager.Idle());
-    ExpectAccountingBalanced(manager.metrics());
-  }
+  // The admission catalog was rebuilt: a request admitted after the
+  // publish plans against the ingested tables and sees every row.
+  uint64_t session = manager.OpenSession();
+  ServeRequest request;
+  request.query = ServeFixture::ScanAllQuery();
+  ServeResponse shed;
+  uint64_t ticket = 0;
+  ASSERT_EQ(manager.Offer(session, request, 0, &shed, &ticket),
+            AdmitOutcome::kRun);
+  ServeResponse resp = manager.ExecuteTicket(ticket, 0);
+  manager.CompleteTicket(ticket, resp.work);
+  ASSERT_TRUE(resp.status.ok()) << resp.status;
+  EXPECT_EQ(resp.epoch, base_epoch + 1);
+  EXPECT_GT(resp.rows_out, 0);
+  EXPECT_EQ(resp.rows_out, db.FindTable("inproc")->row_count());
+  EXPECT_TRUE(manager.Idle());
+  ExpectAccountingBalanced(manager.metrics());
 }
 
 TEST(ServingIngestTest, IngestRefusedWhileMaterializedViewsExist) {

@@ -3,17 +3,19 @@
 //
 // The central claim under test is *bit-identity*: ShredStream must leave
 // the Database — every cell tag and bit pattern, every dictionary code,
-// every sealed block, every index entry — in exactly the state the DOM
-// path (ParseXml + ShredDocument) produces, at every thread count. The
-// differential tests hash the full database state and compare digests
-// across DOM / streaming × threads {1, 2, 4, 8}, over plain and
-// transformed (variant-choice, repetition-split) schemas.
+// every sealed block — in exactly the state the DOM path (ParseXml +
+// ShredDocument) produces, at every thread count. The differential tests
+// hash the full database state and compare digests across DOM /
+// streaming × threads {1, 2, 4, 8}, over plain and transformed
+// (variant-choice, repetition-split) schemas. The index build is checked
+// against an independent Value-order reference.
 //
 // The failure-path tests assert the all-or-nothing contract: a parse
 // error mid-stream, a schema mismatch, a governor memory trip at a batch
 // boundary, or an injected shred.stream fault must leave the database
 // exactly as it was — no tables, no stray dictionary entries.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -27,6 +29,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "database_digest.h"
 #include "mapping/mapping.h"
 #include "mapping/shredder.h"
 #include "mapping/stream_shredder.h"
@@ -41,63 +44,6 @@
 
 namespace xmlshred {
 namespace {
-
-// --- Full-state digests -------------------------------------------------
-
-uint64_t Mix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-// Hashes everything observable about storage: table names, row counts,
-// every cell's tag and raw bits, logical byte tallies, sealed block
-// counts and encoded sizes, and the dictionary's strings in code order.
-// Two databases with equal digests are bit-identical for our purposes.
-uint64_t DatabaseDigest(const Database& db) {
-  uint64_t h = 14695981039346656037ULL;
-  for (const std::string& name : db.TableNames()) {
-    const Table* t = db.FindTable(name);
-    h = Mix(h, Fnv1a64(name));
-    h = Mix(h, static_cast<uint64_t>(t->row_count()));
-    for (int c = 0; c < t->schema().num_columns(); ++c) {
-      const ColumnVector& col = t->column(c);
-      h = Mix(h, col.size());
-      h = Mix(h, static_cast<uint64_t>(col.byte_total()));
-      h = Mix(h, col.num_sealed_blocks());
-      h = Mix(h, static_cast<uint64_t>(col.sealed_encoded_bytes()));
-      for (size_t i = 0; i < col.size(); ++i) {
-        h = Mix(h, col.tags_data()[i]);
-        h = Mix(h, col.raw_data()[i]);
-      }
-    }
-  }
-  const StringDictionary& dict = db.dictionary();
-  h = Mix(h, dict.size());
-  for (uint32_t c = 0; c < dict.size(); ++c) {
-    h = Mix(h, Fnv1a64(dict.str(c)));
-  }
-  return h;
-}
-
-uint64_t IndexDigest(const BTreeIndex& ix) {
-  uint64_t h = 14695981039346656037ULL;
-  h = Mix(h, static_cast<uint64_t>(ix.entry_count()));
-  h = Mix(h, static_cast<uint64_t>(ix.entry_width()));
-  for (size_t e = 0; e < static_cast<size_t>(ix.entry_count()); ++e) {
-    h = Mix(h, static_cast<uint64_t>(ix.entry_row_id(e)));
-    for (int k = 0; k < ix.num_key_columns(); ++k) {
-      SortKey key = ix.entry_key(e, k);
-      h = Mix(h, key.cls);
-      h = Mix(h, key.key);
-    }
-    for (int pos = 0; pos < ix.entry_width(); ++pos) {
-      Cell cell = ix.entry_cell(e, pos);
-      h = Mix(h, cell.tag);
-      h = Mix(h, cell.bits);
-    }
-  }
-  return h;
-}
 
 // --- Corpus helpers -----------------------------------------------------
 
@@ -216,19 +162,6 @@ TEST(StreamParser, EventSequence) {
                                    "+b",    "-b", "t:tail text", "+c",
                                    "-c",    "-root"};
   EXPECT_EQ(got, want);
-}
-
-TEST(StreamParser, PeekIsStable) {
-  XmlStreamParser parser("<a><b/></a>");
-  auto p1 = parser.Peek();
-  auto p2 = parser.Peek();
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  EXPECT_EQ(p1->name, "a");
-  EXPECT_EQ(p2->name, "a");
-  auto n = parser.Next();
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(n->kind, XmlEventKind::kStartElement);
-  EXPECT_EQ(n->name, "a");
 }
 
 TEST(StreamParser, FragmentModeParsesSiblingSequence) {
@@ -688,48 +621,81 @@ TEST(StreamingShred, TransientPeakIsFlatAcrossDocumentSize) {
       << "peak must stay below the document itself";
 }
 
-// --- Parallel index builds ----------------------------------------------
+// --- Index build -------------------------------------------------------
 
-TEST(StreamingShred, ParallelIndexBuildIsBitIdentical) {
-  Corpus corpus = DblpCorpus(300);
-
+// The one-pass build against an independent reference: row ids sorted by
+// the key Values under TotalLess, then by row id, with every entry cell
+// read back through Table::GetValue. The table spans several sealed
+// blocks and its keys run out of row-id order, so a build that pairs a
+// key with another row's cells, or breaks key ties other than by row id,
+// fails here.
+TEST(StreamingShred, IndexBuildMatchesValueOrderReference) {
   Database db;
-  auto stats = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping, &db,
-                           StreamShredOptions{});
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-
-  // Pick the widest populated relation and index a value column with the
-  // parent id, including the row id as payload.
-  std::string table_name;
-  int width = 0;
-  for (const std::string& name : db.TableNames()) {
-    const Table* t = db.FindTable(name);
-    if (t->row_count() > 0 && t->schema().num_columns() > width) {
-      width = t->schema().num_columns();
-      table_name = name;
-    }
+  TableSchema schema;
+  schema.name = "t";
+  schema.columns = {{"ID", ColumnType::kInt64, false},
+                    {"name", ColumnType::kString, true},
+                    {"score", ColumnType::kInt64, true}};
+  schema.id_column = 0;
+  auto created = db.CreateTable(schema);
+  ASSERT_TRUE(created.ok()) << created.status();
+  Table* table = *created;
+  const int64_t rows = 3 * static_cast<int64_t>(kStorageBlockRows) + 123;
+  for (int64_t rid = 0; rid < rows; ++rid) {
+    Value name = rid % 13 == 0 ? Value::Null()
+                               : Value::Str("n" + std::to_string(
+                                                      (rid * 7919) % 97));
+    Value score = rid % 17 == 0 ? Value::Null() : Value::Int((rid * 31) % 11);
+    table->AppendRow({Value::Int(rows - rid), name, score});
   }
-  ASSERT_GE(width, 3);
+  ASSERT_GE(table->column(1).num_sealed_blocks(), 3u);
 
-  IndexDef def;
-  def.name = "ix_parallel_test";
-  def.table = table_name;
-  def.key_columns = {width - 1, 1};
-  def.included_columns = {0};
-
-  uint64_t serial_digest = 0;
-  for (int threads : {1, 2, 4, 8}) {
-    db.DropIndex(def.name);
-    ASSERT_TRUE(db.CreateIndex(def, threads).ok()) << "threads=" << threads;
+  const std::vector<IndexDef> defs = {
+      {"ix_name_score", "t", {1, 2}, {0}, false},
+      {"ix_score", "t", {2}, {1, 0}, false},
+      {"ix_id", "t", {0}, {}, false}};
+  for (const IndexDef& def : defs) {
+    SCOPED_TRACE(def.name);
+    ASSERT_TRUE(db.CreateIndex(def).ok());
     const BTreeIndex* ix = db.FindIndex(def.name);
     ASSERT_NE(ix, nullptr);
-    uint64_t digest = IndexDigest(*ix);
-    if (threads == 1) {
-      serial_digest = digest;
-      EXPECT_GT(ix->entry_count(), 0);
-    } else {
-      EXPECT_EQ(digest, serial_digest) << "threads=" << threads;
+
+    std::vector<int> entry_columns = def.key_columns;
+    entry_columns.insert(entry_columns.end(), def.included_columns.begin(),
+                         def.included_columns.end());
+    std::vector<Row> keys(static_cast<size_t>(rows));
+    std::vector<int64_t> order(static_cast<size_t>(rows));
+    for (int64_t rid = 0; rid < rows; ++rid) {
+      for (int col : def.key_columns) {
+        keys[static_cast<size_t>(rid)].push_back(table->GetValue(rid, col));
+      }
+      order[static_cast<size_t>(rid)] = rid;
     }
+    std::sort(order.begin(), order.end(), [&keys](int64_t a, int64_t b) {
+      const Row& ka = keys[static_cast<size_t>(a)];
+      const Row& kb = keys[static_cast<size_t>(b)];
+      if (RowTotalLess(ka, kb)) return true;
+      if (RowTotalLess(kb, ka)) return false;
+      return a < b;
+    });
+
+    ASSERT_EQ(ix->entry_count(), rows);
+    ASSERT_EQ(ix->entry_width(), static_cast<int>(entry_columns.size()));
+    int64_t bytes = 0;
+    for (size_t e = 0; e < order.size(); ++e) {
+      ASSERT_EQ(ix->entry_row_id(e), order[e]) << "entry " << e;
+      for (size_t p = 0; p < entry_columns.size(); ++p) {
+        Value want = table->GetValue(order[e], entry_columns[p]);
+        Value got = ix->EntryValue(e, static_cast<int>(p));
+        ASSERT_TRUE(got.TotalEquals(want))
+            << "entry " << e << " pos " << p << ": " << got.ToString()
+            << " vs " << want.ToString();
+        bytes += static_cast<int64_t>(want.ByteSize());
+      }
+      bytes += 8;  // row id
+    }
+    EXPECT_DOUBLE_EQ(ix->entry_bytes(),
+                     static_cast<double>(bytes) / static_cast<double>(rows));
   }
 }
 

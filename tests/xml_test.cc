@@ -283,6 +283,39 @@ TEST(XsdParserTest, DefaultAnnotations) {
   EXPECT_EQ((*tree)->FindTagByName("tagname")->annotation(), "tagname");
 }
 
+TEST(XsdParserTest, InlineSimpleTypeTakesRestrictionBase) {
+  constexpr const char* xsd = R"(
+<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="book" annotation="book">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element name="year">
+          <xs:simpleType><xs:restriction base="xs:int"/></xs:simpleType>
+        </xs:element>
+        <xs:element name="price">
+          <xs:simpleType>
+            <xs:restriction base="xs:decimal"><xs:minInclusive value="0"/>
+            </xs:restriction>
+          </xs:simpleType>
+        </xs:element>
+        <xs:element name="code">
+          <xs:simpleType><xs:restriction base="isbn"/></xs:simpleType>
+        </xs:element>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+</xs:schema>)";
+  auto tree = ParseXsd(xsd);
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  EXPECT_EQ((*tree)->FindTagByName("year")->child(0)->base_type(),
+            XsdBaseType::kInt);
+  EXPECT_EQ((*tree)->FindTagByName("price")->child(0)->base_type(),
+            XsdBaseType::kDouble);
+  // A base that is not a built-in type stores as a string.
+  EXPECT_EQ((*tree)->FindTagByName("code")->child(0)->base_type(),
+            XsdBaseType::kString);
+}
+
 TEST(XsdParserTest, RoundTripThroughXsdText) {
   auto tree = ParseXsd(kMovieXsd);
   ASSERT_TRUE(tree.ok());
