@@ -21,7 +21,8 @@ namespace {
 
 // Batch of rows flowing between operators: a flat row-major cell array.
 // Cells carry dictionary codes for strings, so operators compare and copy
-// 9-byte cells; Values are materialized once, at the plan root.
+// 9-byte cells; Values are built only for Executor::Run callers, once, at
+// the plan root (Executor::Count only counts the root chunk's rows).
 struct Chunk {
   int width = 0;
   size_t num_rows = 0;
@@ -34,20 +35,6 @@ struct Chunk {
     cells.reserve(n * static_cast<size_t>(width));
   }
 };
-
-Value CellToValue(Cell c, const StringDictionary& dict) {
-  switch (static_cast<CellTag>(c.tag)) {
-    case CellTag::kNull:
-      return Value::Null();
-    case CellTag::kInt:
-      return Value::Int(static_cast<int64_t>(c.bits));
-    case CellTag::kReal:
-      return Value::Real(CellBitsToDouble(c.bits));
-    case CellTag::kStr:
-      return Value::Str(dict.str(static_cast<uint32_t>(c.bits)));
-  }
-  return Value::Null();
-}
 
 // A BoundFilter compiled against the dictionary: the literal is resolved
 // to a double, a dictionary code, or an encoded string sort key once, so
@@ -1423,23 +1410,27 @@ class ExecState {
     return out;
   }
 
+  // Runs every branch first, then sizes the output once at their total
+  // and copies each branch in once.
   Result<Chunk> ExecUnionAll(const PlanNode& node, ExplainNode* en) {
+    std::vector<Chunk> branches;
+    branches.reserve(node.children.size());
     Chunk out;
-    out.width = -1;
+    out.width = static_cast<int>(node.output.size());
     for (size_t i = 0; i < node.children.size(); ++i) {
       XS_ASSIGN_OR_RETURN(Chunk chunk, Exec(*node.children[i], Child(en, i)));
-      if (out.width < 0) {
-        out = std::move(chunk);
-        continue;
-      }
-      if (chunk.width != out.width) {
+      if (!branches.empty() && chunk.width != branches[0].width) {
         return Internal("union branches produce different widths");
       }
-      out.cells.insert(out.cells.end(), chunk.cells.begin(),
-                       chunk.cells.end());
+      out.width = chunk.width;
       out.num_rows += chunk.num_rows;
+      branches.push_back(std::move(chunk));
     }
-    if (out.width < 0) out.width = static_cast<int>(node.output.size());
+    out.ReserveRows(out.num_rows);
+    for (const Chunk& branch : branches) {
+      out.cells.insert(out.cells.end(), branch.cells.begin(),
+                       branch.cells.end());
+    }
     return out;
   }
 
@@ -1521,34 +1512,18 @@ bool MirrorsPlan(const ExplainNode& en, const PlanNode& plan) {
   return true;
 }
 
-}  // namespace
-
-Result<std::vector<Row>> Executor::Run(const PlanNode& plan,
-                                       ExecMetrics* metrics,
-                                       const ExecOptions& options) {
+// The body Run and Count share: executes `plan` to its root chunk and
+// publishes the run's metering.
+Result<Chunk> ExecuteRoot(const Database& db, const PlanNode& plan,
+                          ExecMetrics* metrics, const ExecOptions& options) {
   if (options.explain != nullptr && !MirrorsPlan(*options.explain, plan)) {
     return InvalidArgument(
         "explain tree does not mirror the plan (use BuildExplainTree)");
   }
   ExecMetrics local;
-  ExecState state(db_, &local, options);
+  ExecState state(db, &local, options);
   Result<Chunk> chunk = state.Exec(plan, options.explain);
-  std::vector<Row> rows;
-  if (chunk.ok()) {
-    const StringDictionary& dict = db_.dictionary();
-    rows.reserve(chunk->num_rows);
-    size_t width = static_cast<size_t>(chunk->width);
-    for (size_t r = 0; r < chunk->num_rows; ++r) {
-      const Cell* cells = chunk->row(r);
-      Row row;
-      row.reserve(width);
-      for (size_t c = 0; c < width; ++c) {
-        row.push_back(CellToValue(cells[c], dict));
-      }
-      rows.push_back(std::move(row));
-    }
-    local.rows_out = static_cast<int64_t>(rows.size());
-  }
+  if (chunk.ok()) local.rows_out = static_cast<int64_t>(chunk->num_rows);
   // The per-query view accumulates even on failure — telemetry reflects
   // all work attempted — while the registry's exec.* totals only count
   // completed queries, matching the planner.* convention.
@@ -1575,7 +1550,35 @@ Result<std::vector<Row>> Executor::Run(const PlanNode& plan,
     options.metrics->counter(kMetricStorageBlocksSkipped)
         ->Add(local.blocks_skipped);
   }
+  return chunk;
+}
+
+}  // namespace
+
+Result<std::vector<Row>> Executor::Run(const PlanNode& plan,
+                                       ExecMetrics* metrics,
+                                       const ExecOptions& options) {
+  XS_ASSIGN_OR_RETURN(Chunk chunk, ExecuteRoot(db_, plan, metrics, options));
+  const StringDictionary& dict = db_.dictionary();
+  size_t width = static_cast<size_t>(chunk.width);
+  std::vector<Row> rows;
+  rows.reserve(chunk.num_rows);
+  for (size_t r = 0; r < chunk.num_rows; ++r) {
+    const Cell* cells = chunk.row(r);
+    Row row;
+    row.reserve(width);
+    for (size_t c = 0; c < width; ++c) {
+      row.push_back(CellToValue(cells[c], dict));
+    }
+    rows.push_back(std::move(row));
+  }
   return rows;
+}
+
+Result<int64_t> Executor::Count(const PlanNode& plan, ExecMetrics* metrics,
+                                const ExecOptions& options) {
+  XS_ASSIGN_OR_RETURN(Chunk chunk, ExecuteRoot(db_, plan, metrics, options));
+  return static_cast<int64_t>(chunk.num_rows);
 }
 
 }  // namespace xmlshred

@@ -113,6 +113,12 @@ class Executor {
   Result<std::vector<Row>> Run(const PlanNode& plan, ExecMetrics* metrics,
                                const ExecOptions& options = {});
 
+  // Run for callers that only need the row count: the same execution,
+  // metering, explain actuals and trip points, without building the
+  // result's Values.
+  Result<int64_t> Count(const PlanNode& plan, ExecMetrics* metrics,
+                        const ExecOptions& options = {});
+
  private:
   const Database& db_;
 };

@@ -1,5 +1,7 @@
 #include "rel/column_block.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -41,9 +43,13 @@ uint32_t GetU32(const uint8_t* p) {
   return v;
 }
 
+// Little-endian 64-bit load from an unaligned address.
 uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
   return v;
 }
 
@@ -57,7 +63,13 @@ int BitWidthFor(uint64_t max_delta) {
   return w;
 }
 
+// Widest delta the word-at-a-time kernels move: a value starting at any
+// bit offset 0..7 of its first byte then lies within one 64-bit word.
+constexpr int kMaxWordWidth = 56;
+
 // LSB-first bit packing: delta i occupies bits [i*width, (i+1)*width).
+// Deltas go into a 64-bit accumulator that is flushed a byte at a time;
+// widths above kMaxWordWidth, which could overflow it, take the bit loop.
 void PackBits(std::vector<uint8_t>* out, const uint64_t* deltas, size_t n,
               int width) {
   if (width == 0) return;
@@ -65,22 +77,62 @@ void PackBits(std::vector<uint8_t>* out, const uint64_t* deltas, size_t n,
   size_t start = out->size();
   out->resize(start + (total_bits + 7) / 8, 0);
   uint8_t* bytes = out->data() + start;
-  size_t bit = 0;
+  if (width > kMaxWordWidth) {
+    size_t bit = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (int b = 0; b < width; ++b, ++bit) {
+        if ((deltas[i] >> b) & 1u) {
+          bytes[bit >> 3] |= static_cast<uint8_t>(1u << (bit & 7));
+        }
+      }
+    }
+    return;
+  }
+  uint64_t acc = 0;
+  int pending = 0;  // bits held in acc, always < 8 between deltas
   for (size_t i = 0; i < n; ++i) {
-    uint64_t d = deltas[i];
-    for (int b = 0; b < width; ++b, ++bit) {
-      if ((d >> b) & 1u) bytes[bit >> 3] |= static_cast<uint8_t>(1u << (bit & 7));
+    acc |= deltas[i] << pending;
+    pending += width;
+    while (pending >= 8) {
+      *bytes++ = static_cast<uint8_t>(acc);
+      acc >>= 8;
+      pending -= 8;
     }
   }
+  if (pending > 0) *bytes = static_cast<uint8_t>(acc);
 }
 
-uint64_t UnpackOne(const uint8_t* bytes, size_t i, int width) {
-  uint64_t v = 0;
-  size_t bit = i * static_cast<size_t>(width);
-  for (int b = 0; b < width; ++b, ++bit) {
-    if ((bytes[bit >> 3] >> (bit & 7)) & 1u) v |= 1ull << b;
+// Inverse of PackBits over a payload of `payload_bytes` bytes. Up to
+// kMaxWordWidth bits, each delta is one little-endian 64-bit load, a shift
+// and a mask, for as long as 8 bytes remain from the delta's first byte;
+// wider deltas and the last few of the payload take the bit loop, so no
+// read passes the payload's end.
+void UnpackBits(const uint8_t* bytes, size_t payload_bytes, size_t n,
+                int width, uint64_t* out) {
+  if (width == 0) {
+    std::fill(out, out + n, uint64_t{0});
+    return;
   }
-  return v;
+  size_t w = static_cast<size_t>(width);
+  XS_CHECK_LE(n * w, payload_bytes * 8);
+  size_t i = 0;
+  if (width <= kMaxWordWidth && payload_bytes >= 8) {
+    // Delta i's load covers bytes [i*w/8, i*w/8 + 8): in bounds while
+    // i*w < 8 * (payload_bytes - 7).
+    size_t word_end = std::min(n, (8 * (payload_bytes - 7) - 1) / w + 1);
+    uint64_t mask = (uint64_t{1} << width) - 1;
+    for (size_t bit = 0; i < word_end; ++i, bit += w) {
+      out[i] = (GetU64(bytes + (bit >> 3)) >> (bit & 7)) & mask;
+    }
+  }
+  for (; i < n; ++i) {
+    uint64_t v = 0;
+    size_t bit = i * w;
+    for (int b = 0; b < width; ++b, ++bit) {
+      if ((bytes[bit >> 3] >> (bit & 7)) & 1u) v |= uint64_t{1} << b;
+    }
+    out[i] = v;
+  }
 }
 
 struct BlockShape {
@@ -282,23 +334,18 @@ void DecodeBlock(const EncodedBlock& block, uint8_t* tags, uint64_t* data) {
       break;
     }
     case BlockEncoding::kBitPackInt: {
-      int width = p[0];
       uint64_t min_bits = GetU64(p + 1);
-      const uint8_t* packed = p + 9;
-      for (size_t i = 0; i < n; ++i) {
-        tags[i] = kTagInt;
-        data[i] = min_bits + (width ? UnpackOne(packed, i, width) : 0);
-      }
+      UnpackBits(p + 9, block.bytes.size() - 9, n, p[0], data);
+      std::memset(tags, kTagInt, n);
+      for (size_t i = 0; i < n; ++i) data[i] += min_bits;
       break;
     }
     case BlockEncoding::kBitPackCode: {
-      int width = p[0];
       uint32_t min_code = GetU32(p + 1);
-      const uint8_t* packed = p + 5;
+      UnpackBits(p + 5, block.bytes.size() - 5, n, p[0], data);
+      std::memset(tags, kTagStr, n);
       for (size_t i = 0; i < n; ++i) {
-        tags[i] = kTagStr;
-        data[i] = min_code + static_cast<uint32_t>(
-                                 width ? UnpackOne(packed, i, width) : 0);
+        data[i] = min_code + static_cast<uint32_t>(data[i]);
       }
       break;
     }

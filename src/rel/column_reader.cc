@@ -51,18 +51,7 @@ BlockView BlockCursor::Read(size_t b) {
 }
 
 Value ColumnReader::GetValue(size_t rid, const StringDictionary& dict) {
-  Cell c = At(rid);
-  switch (static_cast<CellTag>(c.tag)) {
-    case CellTag::kNull:
-      return Value::Null();
-    case CellTag::kInt:
-      return Value::Int(static_cast<int64_t>(c.bits));
-    case CellTag::kReal:
-      return Value::Real(CellBitsToDouble(c.bits));
-    case CellTag::kStr:
-      return Value::Str(dict.str(static_cast<uint32_t>(c.bits)));
-  }
-  return Value::Null();
+  return CellToValue(At(rid), dict);
 }
 
 void ColumnReader::Seek(size_t rid) {

@@ -20,6 +20,20 @@ int64_t PagesForBytes(int64_t stored_bytes) {
   return pages < 1 ? 1 : pages;
 }
 
+Value CellToValue(Cell c, const StringDictionary& dict) {
+  switch (static_cast<CellTag>(c.tag)) {
+    case CellTag::kNull:
+      return Value::Null();
+    case CellTag::kInt:
+      return Value::Int(static_cast<int64_t>(c.bits));
+    case CellTag::kReal:
+      return Value::Real(CellBitsToDouble(c.bits));
+    case CellTag::kStr:
+      return Value::Str(dict.str(static_cast<uint32_t>(c.bits)));
+  }
+  return Value::Null();
+}
+
 void ColumnVector::Append(const Value& v, StringDictionary* dict) {
   Cell cell;
   int64_t byte_size;
@@ -69,17 +83,7 @@ void ColumnVector::MaybeSealTail() {
 }
 
 Value ColumnVector::GetValue(size_t i, const StringDictionary& dict) const {
-  switch (tag(i)) {
-    case CellTag::kNull:
-      return Value::Null();
-    case CellTag::kInt:
-      return Value::Int(AsInt(i));
-    case CellTag::kReal:
-      return Value::Real(AsReal(i));
-    case CellTag::kStr:
-      return Value::Str(dict.str(code(i)));
-  }
-  return Value::Null();
+  return CellToValue(cell(i), dict);
 }
 
 Table::Table(TableSchema schema, std::shared_ptr<StringDictionary> dict)

@@ -38,6 +38,9 @@ int64_t PagesFor(int64_t row_count, double avg_row_bytes);
 // non-empty byte total).
 int64_t PagesForBytes(int64_t stored_bytes);
 
+// The Value a cell stands for; string cells are looked up in `dict`.
+Value CellToValue(Cell c, const StringDictionary& dict);
+
 // One column of cells: parallel tag and data vectors plus an exact byte
 // tally (the sum of Value::ByteSize over the column's cells, kept as an
 // integer so avg_row_bytes carries no floating-point accumulation drift).

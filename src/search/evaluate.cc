@@ -83,7 +83,7 @@ Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
     exec_options.explain = want_explain ? &tree : nullptr;
     ExecMetrics metrics;
     XS_RETURN_IF_ERROR(
-        executor.Run(*planned.root, &metrics, exec_options).status());
+        executor.Count(*planned.root, &metrics, exec_options).status());
     evaluation.per_query_work.push_back(metrics.work);
     evaluation.total_work += query.weight * metrics.work;
     if (want_explain) ObserveCalibration(tree, exec.metrics);

@@ -367,9 +367,9 @@ ServeResponse SessionManager::ExecuteLocked(uint64_t ticket, double now) {
     options.snapshot = snapshot.get();
     options.cancel = cancel;
     options.faults = FaultInjector::Global();
-    Result<std::vector<Row>> rows = executor.Run(*plan->root, &m, options);
+    Result<int64_t> rows = executor.Count(*plan->root, &m, options);
     if (rows.ok()) {
-      resp.rows_out = static_cast<int64_t>(rows->size());
+      resp.rows_out = *rows;
       status = Status::OK();
     } else {
       status = rows.status();

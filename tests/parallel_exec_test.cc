@@ -141,14 +141,17 @@ bool PlanHasKind(const PlanNode& node, PlanKind kind) {
 // One executed run with every deterministic observable captured.
 struct RunOutput {
   Status status = Status::OK();
-  std::vector<Row> rows;
+  std::vector<Row> rows;      // Executor::Run only
+  int64_t count = -1;         // rows returned (Run) or counted (Count)
   ExecMetrics m;
   std::string explain_json;   // ExplainToJson(tree, /*include_timing=*/false)
   std::string metrics_json;   // fresh registry Snapshot().ToJson()
 };
 
-RunOutput RunOnce(const Database& db, const PlannedQuery& plan,
-                  int threads) {
+// Executes through Executor::Run, or through Executor::Count when
+// `count_only`.
+RunOutput RunOnce(const Database& db, const PlannedQuery& plan, int threads,
+                  bool count_only = false) {
   MetricsRegistry registry;
   ExplainNode tree = BuildExplainTree(*plan.root);
   ExecOptions options;
@@ -157,9 +160,18 @@ RunOutput RunOnce(const Database& db, const PlannedQuery& plan,
   options.explain = &tree;
   Executor executor(db);
   RunOutput out;
-  auto rows = executor.Run(*plan.root, &out.m, options);
-  out.status = rows.status();
-  if (rows.ok()) out.rows = std::move(*rows);
+  if (count_only) {
+    auto count = executor.Count(*plan.root, &out.m, options);
+    out.status = count.status();
+    if (count.ok()) out.count = *count;
+  } else {
+    auto rows = executor.Run(*plan.root, &out.m, options);
+    out.status = rows.status();
+    if (rows.ok()) {
+      out.rows = std::move(*rows);
+      out.count = static_cast<int64_t>(out.rows.size());
+    }
+  }
   out.explain_json = ExplainToJson(tree, /*include_timing=*/false);
   out.metrics_json = registry.Snapshot().ToJson();
   return out;
@@ -176,17 +188,26 @@ void ExpectRowsIdentical(const std::vector<Row>& serial,
   }
 }
 
+// Everything but the rows: status, row count, metering, explain actuals
+// and the registry.
+void ExpectMeteringIdentical(const RunOutput& a, const RunOutput& b,
+                             const std::string& label) {
+  EXPECT_EQ(a.status.code(), b.status.code()) << label;
+  EXPECT_EQ(a.count, b.count) << label;
+  EXPECT_EQ(a.m.rows_out, b.m.rows_out) << label;
+  EXPECT_DOUBLE_EQ(a.m.work, b.m.work) << label;
+  EXPECT_DOUBLE_EQ(a.m.pages_sequential, b.m.pages_sequential) << label;
+  EXPECT_DOUBLE_EQ(a.m.pages_random, b.m.pages_random) << label;
+  EXPECT_EQ(a.m.blocks_scanned, b.m.blocks_scanned) << label;
+  EXPECT_EQ(a.m.blocks_skipped, b.m.blocks_skipped) << label;
+  EXPECT_EQ(a.explain_json, b.explain_json) << label;
+  EXPECT_EQ(a.metrics_json, b.metrics_json) << label;
+}
+
 void ExpectRunsIdentical(const RunOutput& serial, const RunOutput& parallel,
                          const std::string& label) {
-  EXPECT_EQ(serial.status.code(), parallel.status.code()) << label;
   ExpectRowsIdentical(serial.rows, parallel.rows, label);
-  EXPECT_EQ(serial.m.rows_out, parallel.m.rows_out) << label;
-  EXPECT_DOUBLE_EQ(serial.m.work, parallel.m.work) << label;
-  EXPECT_DOUBLE_EQ(serial.m.pages_sequential, parallel.m.pages_sequential)
-      << label;
-  EXPECT_DOUBLE_EQ(serial.m.pages_random, parallel.m.pages_random) << label;
-  EXPECT_EQ(serial.explain_json, parallel.explain_json) << label;
-  EXPECT_EQ(serial.metrics_json, parallel.metrics_json) << label;
+  ExpectMeteringIdentical(serial, parallel, label);
 }
 
 // ---------------------------------------------------------------------
@@ -251,7 +272,9 @@ TEST(ParallelExecShapes, PlansExerciseEveryOperator) {
 }
 
 // Every observable of a run at 2, 4, and 8 threads is byte-identical to
-// the one-thread run, per shape.
+// the one-thread run, per shape; Executor::Count at 1 and 4 threads counts
+// the one-thread run's rows with the same metering, explain actuals and
+// registry.
 TEST(ParallelExecDifferential, BitIdenticalAcrossThreadCounts) {
   ParExecFixture& f = Big();
   for (const ShapeCase& shape : kShapes) {
@@ -264,6 +287,13 @@ TEST(ParallelExecDifferential, BitIdenticalAcrossThreadCounts) {
       ExpectRunsIdentical(serial, parallel,
                           std::string(shape.name) +
                               "/threads=" + std::to_string(threads));
+    }
+    for (int threads : {1, 4}) {
+      RunOutput counted =
+          RunOnce(f.db, q.planned, threads, /*count_only=*/true);
+      ExpectMeteringIdentical(serial, counted,
+                              std::string(shape.name) + "/count/threads=" +
+                                  std::to_string(threads));
     }
   }
 }

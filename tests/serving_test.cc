@@ -123,7 +123,21 @@ void ExpectAccountingBalanced(MetricsRegistry* registry) {
 }
 
 // ---------------------------------------------------------------------
-// Executor batch-boundary interrupts.
+// Executor batch-boundary interrupts. Submit executes through
+// Executor::Count, so each case also runs a Count leg, which must stop
+// where the Run leg stopped: same status, same metering.
+
+void ExpectSameStop(const Status& run, const ExecMetrics& run_m,
+                    const Status& count, const ExecMetrics& count_m) {
+  EXPECT_EQ(run.code(), count.code());
+  EXPECT_EQ(run.message(), count.message());
+  EXPECT_DOUBLE_EQ(run_m.work, count_m.work);
+  EXPECT_DOUBLE_EQ(run_m.pages_sequential, count_m.pages_sequential);
+  EXPECT_DOUBLE_EQ(run_m.pages_random, count_m.pages_random);
+  EXPECT_EQ(run_m.rows_out, count_m.rows_out);
+  EXPECT_EQ(run_m.blocks_scanned, count_m.blocks_scanned);
+  EXPECT_EQ(run_m.blocks_skipped, count_m.blocks_skipped);
+}
 
 TEST(ExecutorInterruptTest, CancelTokenStopsScanWithCleanStatus) {
   ServeFixture& f = Fixture();
@@ -138,6 +152,11 @@ TEST(ExecutorInterruptTest, CancelTokenStopsScanWithCleanStatus) {
     ASSERT_FALSE(rows.ok());
     EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
     EXPECT_NE(rows.status().message().find("cancelled"), std::string::npos);
+
+    ExecMetrics count_m;
+    auto count = executor.Count(*plan.root, &count_m, options);
+    ASSERT_FALSE(count.ok());
+    ExpectSameStop(rows.status(), m, count.status(), count_m);
   }
   // The same plan still runs to completion once the token clears.
   Executor executor(*f.db);
@@ -145,6 +164,9 @@ TEST(ExecutorInterruptTest, CancelTokenStopsScanWithCleanStatus) {
   auto rows = executor.Run(*plan.root, &m, ExecOptions{});
   ASSERT_TRUE(rows.ok()) << rows.status();
   EXPECT_EQ(static_cast<int64_t>(rows->size()), 400);
+  auto count = executor.Count(*plan.root, &m, ExecOptions{});
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(*count, 400);
 }
 
 TEST(ExecutorInterruptTest, GovernorTripMidScanMetersOnce) {
@@ -172,6 +194,14 @@ TEST(ExecutorInterruptTest, GovernorTripMidScanMetersOnce) {
     EXPECT_EQ(rows.status().code(), StatusCode::kResourceExhausted);
     EXPECT_DOUBLE_EQ(m.work, governor.work_spent());
     EXPECT_LE(governor.work_spent(), clean.work);
+
+    ResourceGovernor count_governor(limits);
+    ExecMetrics count_m;
+    options.governor = &count_governor;
+    auto count = executor.Count(*plan.root, &count_m, options);
+    ASSERT_FALSE(count.ok());
+    ExpectSameStop(rows.status(), m, count.status(), count_m);
+    EXPECT_DOUBLE_EQ(count_governor.work_spent(), governor.work_spent());
   }
 
   // The trip corrupted nothing: a clean rerun returns the full result
@@ -190,17 +220,26 @@ TEST(ExecutorInterruptTest, InjectedMidQueryFaultKeepsMeteringConsistent) {
   ExecMetrics clean;
   ASSERT_TRUE(executor.Run(*plan.root, &clean, ExecOptions{}).ok());
 
+  ExecOptions options;
+  options.faults = FaultInjector::Global();
+  ExecMetrics m;
+  Status run_status;
   {
     ScopedFaultInjection armed(kFaultSiteServeMidQuery, 1);
-    ExecMetrics m;
-    ExecOptions options;
-    options.faults = FaultInjector::Global();
     auto rows = executor.Run(*plan.root, &m, options);
     ASSERT_FALSE(rows.ok());
-    EXPECT_EQ(rows.status().message().rfind("injected fault", 0), 0u);
+    run_status = rows.status();
+    EXPECT_EQ(run_status.message().rfind("injected fault", 0), 0u);
     // Charges are per-node and upfront; an interrupt between batches
     // must not re-charge or lose them.
     EXPECT_LE(m.work, clean.work);
+  }
+  {
+    ScopedFaultInjection armed(kFaultSiteServeMidQuery, 1);
+    ExecMetrics count_m;
+    auto count = executor.Count(*plan.root, &count_m, options);
+    ASSERT_FALSE(count.ok());
+    ExpectSameStop(run_status, m, count.status(), count_m);
   }
   ExecMetrics again;
   auto rerun = executor.Run(*plan.root, &again, ExecOptions{});
