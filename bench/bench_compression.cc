@@ -1,15 +1,13 @@
-// Block-encoding compression bench (DESIGN.md §14): encoded-vs-plain
+// Block-encoding compression bench (DESIGN.md §14): logical-vs-encoded
 // byte footprint and scan behaviour on a 1M-row table.
 //
 // Builds the same million-row publication table tests/rel_test.cc pins
 // (monotone IDs, 10 distinct titles, 20 distinct years), reports the
 // logical (plain) footprint against the block-encoded storage of record
-// — per-encoding sealed-block census included — and runs a full scan
-// plus a zone-map-prunable selective scan in both read modes
-// (ExecOptions::storage_read_mode kEncoded / kPlain, the XS_FORCE_PLAIN
-// toggle). Deterministic observables (rows, work, pages, blocks) are
-// XS_CHECKed identical across modes; only the wall_ms_* keys differ,
-// and CI strips those before diffing against the committed
+// — per-encoding sealed-block census included — and times a full scan
+// plus a zone-map-prunable selective scan over the encoded blocks.
+// Deterministic observables (rows, work, pages, blocks) go to the JSON;
+// CI strips the wall_ms_* keys before diffing against the committed
 // bench_results/BENCH_compression.json.
 //
 // Acceptance guard: the encoded footprint must be at most 60% of the
@@ -29,7 +27,6 @@
 #include "opt/planner.h"
 #include "rel/catalog.h"
 #include "rel/column_block.h"
-#include "rel/column_reader.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
@@ -52,7 +49,6 @@ struct CompressionFixture {
     schema.pid_column = 1;
     auto table = db.CreateTable(schema);
     XS_CHECK_OK(table.status());
-    (*table)->Reserve(static_cast<size_t>(rows));
     for (int64_t i = 0; i < rows; ++i) {
       (*table)->AppendRow({Value::Int(i), Value::Null(),
                            Value::Str("title_" + std::to_string(i % 10)),
@@ -71,8 +67,7 @@ struct ScanResult {
   double wall_ms = 0;
 };
 
-ScanResult RunScan(const Database& db, const std::string& sql,
-                   StorageReadMode mode) {
+ScanResult RunScan(const Database& db, const std::string& sql) {
   auto parsed = ParseSql(sql);
   XS_CHECK_OK(parsed.status());
   CatalogDesc catalog = db.BuildCatalogDesc();
@@ -81,20 +76,18 @@ ScanResult RunScan(const Database& db, const std::string& sql,
   auto planned = PlanQuery(*bound, catalog);
   XS_CHECK_OK(planned.status());
   Executor executor(db);
-  ExecOptions options;
-  options.storage_read_mode = mode;
   // Observables from a single run (a fresh ExecMetrics per Run — the
-  // timing loop below would otherwise accumulate a mode-dependent
+  // timing loop below would otherwise accumulate a machine-dependent
   // number of iterations into them).
   ExecMetrics metrics;
-  XS_CHECK_OK(executor.Run(*planned->root, &metrics, options).status());
+  XS_CHECK_OK(executor.Run(*planned->root, &metrics).status());
   using clock = std::chrono::steady_clock;
   auto start = clock::now();
   int64_t iters = 0;
   double elapsed_ns = 0;
   do {
     ExecMetrics scratch;
-    auto result = executor.Run(*planned->root, &scratch, options);
+    auto result = executor.Run(*planned->root, &scratch);
     XS_CHECK_OK(result.status());
     ++iters;
     elapsed_ns =
@@ -131,7 +124,7 @@ int Main(int argc, char** argv) {
 
   PrintTitle("Block-encoding compression: encoded vs plain on 1M rows",
              "encoded footprint well under the 60% acceptance bar; "
-             "selective scans skip pruned blocks in encoded mode");
+             "selective scans skip pruned blocks");
   CompressionFixture fixture;
   const Table* table = fixture.db.FindTable("pub");
   XS_CHECK(table != nullptr);
@@ -170,9 +163,8 @@ int Main(int argc, char** argv) {
     PrintRow({"blocks:" + key, std::to_string(count), ""});
   }
 
-  // Scans in both read modes. `ID < 1000` prunes every sealed block but
-  // the first (monotone IDs); the full scan touches everything. The
-  // deterministic observables must not depend on the read mode.
+  // `ID < 1000` prunes every sealed block but the first (monotone IDs);
+  // the full scan touches everything.
   struct Micro {
     std::string name;
     std::string sql;
@@ -186,28 +178,17 @@ int Main(int argc, char** argv) {
   struct MicroOut {
     std::string name;
     ScanResult encoded;
-    double wall_ms_plain = 0;
   };
   std::vector<MicroOut> results;
-  PrintRow({"micro", "rows", "work", "blocks skipped", "wall enc", "wall plain"});
+  PrintRow({"micro", "rows", "work", "blocks skipped", "wall"});
   for (const Micro& micro : micros) {
-    ScanResult encoded =
-        RunScan(fixture.db, micro.sql, StorageReadMode::kEncoded);
-    ScanResult plain =
-        RunScan(fixture.db, micro.sql, StorageReadMode::kPlain);
-    XS_CHECK(encoded.rows_out == plain.rows_out);
-    XS_CHECK(encoded.work == plain.work);
-    XS_CHECK(encoded.pages_sequential == plain.pages_sequential);
-    XS_CHECK(encoded.pages_random == plain.pages_random);
-    XS_CHECK(encoded.blocks_scanned == plain.blocks_scanned);
-    XS_CHECK(encoded.blocks_skipped == plain.blocks_skipped);
+    ScanResult encoded = RunScan(fixture.db, micro.sql);
     if (micro.expect_pruning) XS_CHECK(encoded.blocks_skipped > 0);
     PrintRow({micro.name, FormatDouble(encoded.rows_out, 0),
               FormatDouble(encoded.work, 1),
               FormatDouble(encoded.blocks_skipped, 0),
-              FormatDouble(encoded.wall_ms, 2) + " ms",
-              FormatDouble(plain.wall_ms, 2) + " ms"});
-    results.push_back({micro.name, encoded, plain.wall_ms});
+              FormatDouble(encoded.wall_ms, 2) + " ms"});
+    results.push_back({micro.name, encoded});
   }
 
   if (!flags.json_path.empty()) {
@@ -245,12 +226,11 @@ int Main(int argc, char** argv) {
           "    {\"name\": \"%s\", \"rows\": %.0f, \"work\": %.6f, "
           "\"pages_sequential\": %.6f, \"pages_random\": %.6f, "
           "\"blocks_scanned\": %.0f, \"blocks_skipped\": %.0f, "
-          "\"wall_ms_encoded\": %.6f, \"wall_ms_plain\": %.6f}%s\n",
+          "\"wall_ms_encoded\": %.6f}%s\n",
           m.name.c_str(), m.encoded.rows_out, m.encoded.work,
           m.encoded.pages_sequential, m.encoded.pages_random,
           m.encoded.blocks_scanned, m.encoded.blocks_skipped,
-          m.encoded.wall_ms, m.wall_ms_plain,
-          i + 1 < results.size() ? "," : "");
+          m.encoded.wall_ms, i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -31,6 +31,7 @@
 #include "mapping/shredder.h"
 #include "mapping/stream_shredder.h"
 #include "rel/catalog.h"
+#include "rel/column_reader.h"
 #include "rel/index.h"
 #include "workload/dblp.h"
 #include "xml/document.h"
@@ -59,9 +60,13 @@ uint64_t DatabaseDigest(const Database& db) {
       h = Mix(h, static_cast<uint64_t>(col.byte_total()));
       h = Mix(h, col.num_sealed_blocks());
       h = Mix(h, static_cast<uint64_t>(col.sealed_encoded_bytes()));
-      for (size_t i = 0; i < col.size(); ++i) {
-        h = Mix(h, col.tags_data()[i]);
-        h = Mix(h, col.raw_data()[i]);
+      BlockCursor cursor(col);
+      for (size_t b = 0; b < cursor.num_blocks(); ++b) {
+        BlockView view = cursor.Read(b);
+        for (size_t i = 0; i < view.rows; ++i) {
+          h = Mix(h, view.tags[i]);
+          h = Mix(h, view.data[i]);
+        }
       }
     }
   }
@@ -91,9 +96,13 @@ void ExportDatabase(const Database& db, const std::string& path) {
                    static_cast<long long>(col.byte_total()),
                    col.num_sealed_blocks(),
                    static_cast<long long>(col.sealed_encoded_bytes()));
-      for (size_t i = 0; i < col.size(); ++i) {
-        std::fprintf(f, "%u:%llx\n", col.tags_data()[i],
-                     static_cast<unsigned long long>(col.raw_data()[i]));
+      BlockCursor cursor(col);
+      for (size_t b = 0; b < cursor.num_blocks(); ++b) {
+        BlockView view = cursor.Read(b);
+        for (size_t i = 0; i < view.rows; ++i) {
+          std::fprintf(f, "%u:%llx\n", view.tags[i],
+                       static_cast<unsigned long long>(view.data[i]));
+        }
       }
     }
   }

@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "exec/explain.h"
 #include "opt/cost_model.h"
+#include "rel/column_reader.h"
 #include "rel/index.h"
 
 namespace xmlshred {
@@ -175,7 +176,7 @@ bool EvalCompiledCell(const CompiledPred& p, Cell c,
 
 // Runs one compiled predicate over one batch of a column. `tags`/`data`
 // point at the batch's first cell (a BlockView offset to the batch base,
-// so encoded and plain reads flow through identically). In dense mode
+// so decoded blocks and the plain tail flow through identically). In dense mode
 // the batch is `cnt` cells and surviving batch-relative offsets are
 // written to `sel`; in compact mode `sel` holds `cnt` surviving offsets
 // from an earlier pass and is compacted in place. Returns the surviving
@@ -522,8 +523,7 @@ class ExecState {
         snapshot_(options.snapshot),
         cancel_(options.cancel),
         faults_(options.faults),
-        num_threads_(options.exec_threads),
-        read_mode_(options.storage_read_mode) {}
+        num_threads_(options.exec_threads) {}
 
   // Executes one node. When `en` is non-null (EXPLAIN ANALYZE), the
   // subtree's actuals are recorded into it as inclusive deltas of the
@@ -736,15 +736,15 @@ class ExecState {
     return layout;
   }
 
-  // One ColumnReader per schema column of `table`, in this state's read
-  // mode. Used by the random-access fetch paths (index fetch, INL join
-  // inner side); readers are lazy, so unused columns cost nothing.
+  // One ColumnReader per schema column of `table`. Used by the
+  // random-access fetch paths (index fetch, INL join inner side); readers
+  // are lazy, so unused columns cost nothing.
   std::vector<ColumnReader> MakeTableReaders(const Table& table) const {
     std::vector<ColumnReader> readers;
     int ncols = table.schema().num_columns();
     readers.reserve(static_cast<size_t>(ncols));
     for (int c = 0; c < ncols; ++c) {
-      readers.emplace_back(table.column(c), read_mode_);
+      readers.emplace_back(table.column(c));
     }
     return readers;
   }
@@ -862,7 +862,7 @@ class ExecState {
           std::vector<BlockCursor> cursors;
           cursors.reserve(cursor_cols.size());
           for (int c : cursor_cols) {
-            cursors.emplace_back(table->column(c), read_mode_);
+            cursors.emplace_back(table->column(c));
           }
           std::vector<int32_t> sel(lim);
           size_t cnt = lim;
@@ -1101,7 +1101,7 @@ class ExecState {
           std::vector<ColumnReader> readers;
           readers.reserve(width);
           for (int c = 0; c < out.width; ++c) {
-            readers.emplace_back(view->column(c), read_mode_);
+            readers.emplace_back(view->column(c));
           }
           for (int64_t rid = span.lo; rid < span.hi; ++rid) {
             for (size_t c = 0; c < width; ++c) {
@@ -1499,7 +1499,6 @@ class ExecState {
   const std::atomic<bool>* cancel_;
   FaultInjector* faults_;
   int num_threads_;
-  StorageReadMode read_mode_;
 };
 
 // The explain tree must have come from BuildExplainTree on this plan;

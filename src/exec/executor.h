@@ -6,6 +6,11 @@
 // cost model estimates in. The metered work is the "query execution time"
 // that the paper's figures report (their wall-clock on SQL Server; our
 // deterministic work units on this engine).
+//
+// Scans, fetches and joins read cells through BlockCursor / ColumnReader
+// (rel/column_reader.h): sealed blocks are decoded from their encoded
+// images, the only stored copy of those rows, and the unsealed tail is
+// read in place.
 
 #ifndef XMLSHRED_EXEC_EXECUTOR_H_
 #define XMLSHRED_EXEC_EXECUTOR_H_
@@ -18,7 +23,6 @@
 #include "common/status.h"
 #include "opt/plan.h"
 #include "rel/catalog.h"
-#include "rel/column_reader.h"
 
 namespace xmlshred {
 
@@ -95,12 +99,6 @@ struct ExecOptions {
   // runs can kill a query mid-scan deterministically. Null = no
   // mid-query injection.
   FaultInjector* faults = nullptr;
-  // Where sequential scans, index fetches, and joins read cell data
-  // from: the encoded block images (default) or the retained plain
-  // vectors (XS_FORCE_PLAIN, differential tests). DecodeBlock is
-  // bit-exact and the zone-map skip set is mode-independent, so rows,
-  // metering, explain actuals, and trip points are identical either way.
-  StorageReadMode storage_read_mode = DefaultStorageReadMode();
 };
 
 class Executor {

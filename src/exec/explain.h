@@ -51,7 +51,7 @@ struct ExplainNode {
   double actual_work = 0;   // metered work units, comparable to est_cost
   double actual_pages = 0;  // sequential + random page-equivalents
   // Storage blocks the subtree's sequential scans touched vs. pruned by
-  // zone maps (DESIGN.md §14). Identical in encoded and plain read modes.
+  // zone maps (DESIGN.md §14). Identical at any thread count.
   int64_t actual_blocks_scanned = 0;
   int64_t actual_blocks_skipped = 0;
   double wall_ns = 0;       // 0 unless ExecOptions::capture_timing

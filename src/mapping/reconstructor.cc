@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "rel/column_reader.h"
 
 namespace xmlshred {
 
@@ -44,36 +43,15 @@ class Reconstructor {
         mapping_.relations()[static_cast<size_t>(rel_idx)].table_name);
   }
 
-  // Rows of relation `rel_idx`, materialized from columnar storage once
-  // and cached; the vector is never resized after, so pointers into it
-  // stay valid for the whole reconstruction. Reads go through the block
-  // reader API (sealed blocks may only exist as encoded images); the
-  // sequential pass decodes each block exactly once per column.
+  // Rows of relation `rel_idx`, materialized once and cached; the vector
+  // is never resized after, so pointers into it stay valid for the whole
+  // reconstruction.
   const std::vector<Row>& RowsOf(int rel_idx) {
     auto it = rows_cache_.find(rel_idx);
     if (it == rows_cache_.end()) {
       const Table* table = TableOf(rel_idx);
       XS_CHECK(table != nullptr);
-      int ncols = table->schema().num_columns();
-      std::vector<ColumnReader> readers;
-      readers.reserve(static_cast<size_t>(ncols));
-      for (int c = 0; c < ncols; ++c) {
-        readers.emplace_back(table->column(c), DefaultStorageReadMode());
-      }
-      const StringDictionary& dict = db_.dictionary();
-      std::vector<Row> rows;
-      size_t n = static_cast<size_t>(table->row_count());
-      rows.reserve(n);
-      for (size_t rid = 0; rid < n; ++rid) {
-        Row row;
-        row.reserve(static_cast<size_t>(ncols));
-        for (int c = 0; c < ncols; ++c) {
-          row.push_back(
-              readers[static_cast<size_t>(c)].GetValue(rid, dict));
-        }
-        rows.push_back(std::move(row));
-      }
-      it = rows_cache_.emplace(rel_idx, std::move(rows)).first;
+      it = rows_cache_.emplace(rel_idx, table->MaterializeRows()).first;
     }
     return it->second;
   }

@@ -32,35 +32,6 @@ constexpr int64_t kTransientRunBytes = 24;
 constexpr int64_t kTransientSpanBytes = 40;
 constexpr int64_t kTransientCellBytes = 9;
 
-struct EncodedCell {
-  uint8_t tag = 0;
-  uint64_t bits = 0;
-  int64_t bytes = 0;
-};
-
-// Mirrors ColumnVector::Append exactly: same tag, same bit pattern, same
-// Value::ByteSize accounting, interning through `dict` at this call.
-EncodedCell EncodeCell(const Value& v, StringDictionary* dict) {
-  EncodedCell c;
-  if (v.is_null()) {
-    c.tag = static_cast<uint8_t>(CellTag::kNull);
-    c.bytes = 4;
-  } else if (v.is_int()) {
-    c.tag = static_cast<uint8_t>(CellTag::kInt);
-    c.bits = static_cast<uint64_t>(v.AsInt());
-    c.bytes = 8;
-  } else if (v.is_double()) {
-    c.tag = static_cast<uint8_t>(CellTag::kReal);
-    c.bits = DoubleToCellBits(v.AsDouble());
-    c.bytes = 8;
-  } else {
-    c.tag = static_cast<uint8_t>(CellTag::kStr);
-    c.bits = dict->Intern(v.AsString());
-    c.bytes = static_cast<int64_t>(v.AsString().size()) + 2;
-  }
-  return c;
-}
-
 // Per-relation columnar batch buffers feeding Table::AppendBlock. Rows
 // accumulate column-major; a buffer flushes the moment it holds
 // kStorageBlockRows rows (sealing the block immediately) and Finish
@@ -84,10 +55,11 @@ class BatchWriter {
     XS_CHECK_EQ(static_cast<int64_t>(row.size()),
                 static_cast<int64_t>(b.tags.size()));
     for (size_t c = 0; c < row.size(); ++c) {
-      EncodedCell cell = EncodeCell(row[c], dict_);
+      int64_t bytes;
+      Cell cell = EncodeValueCell(row[c], dict_, &bytes);
       b.tags[c].push_back(cell.tag);
       b.bits[c].push_back(cell.bits);
-      b.col_bytes[c] += cell.bytes;
+      b.col_bytes[c] += bytes;
     }
     return RowDone(rel, &b);
   }
@@ -100,7 +72,7 @@ class BatchWriter {
     for (size_t c = 0; c < b.tags.size(); ++c) {
       b.tags[c].push_back(tags[c]);
       b.bits[c].push_back(bits[c]);
-      b.col_bytes[c] += CellBytes(tags[c], bits[c]);
+      b.col_bytes[c] += CellByteSize(Cell{tags[c], bits[c]}, *dict_);
     }
     return RowDone(rel, &b);
   }
@@ -124,21 +96,6 @@ class BatchWriter {
     std::vector<std::vector<uint64_t>> bits;  // [column][row in batch]
     std::vector<int64_t> col_bytes;
   };
-
-  int64_t CellBytes(uint8_t tag, uint64_t bits) const {
-    switch (static_cast<CellTag>(tag)) {
-      case CellTag::kNull:
-        return 4;
-      case CellTag::kInt:
-      case CellTag::kReal:
-        return 8;
-      case CellTag::kStr:
-        return static_cast<int64_t>(
-                   dict_->str(static_cast<uint32_t>(bits)).size()) +
-               2;
-    }
-    return 0;
-  }
 
   RelBuffer& Touch(int rel) {
     RelBuffer& b = buffers_[static_cast<size_t>(rel)];
@@ -233,7 +190,8 @@ class LocalRowSink : public RowSink {
   Status AppendRow(int rel, Row row) override {
     RelRun& rr = runs[static_cast<size_t>(rel)];
     for (const Value& v : row) {
-      EncodedCell c = EncodeCell(v, &dict);
+      int64_t bytes;
+      Cell c = EncodeValueCell(v, &dict, &bytes);
       rr.tags.push_back(c.tag);
       rr.bits.push_back(c.bits);
     }

@@ -4,6 +4,7 @@
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
+#include "rel/column_reader.h"
 
 namespace xmlshred {
 
@@ -179,8 +180,17 @@ Status Database::CreateMaterializedView(const ViewDef& def) {
     out_cols.push_back(bc);
   }
 
-  // Hash child row ids by PID when a join is requested. Row ids, not row
-  // pointers: the columnar store never materializes a row until projected.
+  // Cells are read through the storage read path and appended as cells:
+  // the view shares the database dictionary, so no string is interned
+  // again. Base rows are visited in row order, one reader per base
+  // column. Child rows are visited in hash-bucket order, so each child
+  // column the view needs is read once, in row order, into `child_cells`.
+  const StringDictionary& dict = *dict_;
+  std::vector<ColumnReader> base_cols;
+  for (int c = 0; c < base->schema().num_columns(); ++c) {
+    base_cols.emplace_back(base->column(c));
+  }
+  std::vector<std::vector<Cell>> child_cells;
   std::unordered_multimap<int64_t, int64_t> child_by_pid;
   if (child != nullptr) {
     int pid = child->schema().pid_column;
@@ -188,11 +198,28 @@ Status Database::CreateMaterializedView(const ViewDef& def) {
       return fail(InvalidArgument("join child " + *def.join_child +
                                   " has no parent-id column"));
     }
-    const ColumnVector& pid_col = child->column(pid);
-    for (int64_t rid = 0; rid < child->row_count(); ++rid) {
-      size_t i = static_cast<size_t>(rid);
-      if (!pid_col.is_null(i)) {
-        child_by_pid.emplace(pid_col.AsInt(i), rid);
+    const size_t rows = static_cast<size_t>(child->row_count());
+    child_cells.resize(static_cast<size_t>(child->schema().num_columns()));
+    auto read_child = [&](int ordinal) {
+      std::vector<Cell>& cells = child_cells[static_cast<size_t>(ordinal)];
+      if (cells.size() == rows) return;
+      ColumnReader reader(child->column(ordinal));
+      cells.resize(rows);
+      for (size_t rid = 0; rid < rows; ++rid) cells[rid] = reader.At(rid);
+    };
+    for (const BoundPred& p : preds) {
+      if (!p.on_base) read_child(p.ordinal);
+    }
+    for (const BoundCol& bc : out_cols) {
+      if (!bc.on_base) read_child(bc.ordinal);
+    }
+    // Hash child row ids by PID.
+    ColumnReader pid_col(child->column(pid));
+    for (size_t rid = 0; rid < rows; ++rid) {
+      Cell cell = pid_col.At(rid);
+      if (cell.tag != static_cast<uint8_t>(CellTag::kNull)) {
+        child_by_pid.emplace(static_cast<int64_t>(cell.bits),
+                             static_cast<int64_t>(rid));
       }
     }
   }
@@ -202,12 +229,14 @@ Status Database::CreateMaterializedView(const ViewDef& def) {
     return fail(InvalidArgument("join base " + def.base_table +
                                 " has no id column"));
   }
+  std::vector<Cell> out_row(out_cols.size());
   for (int64_t base_rid = 0; base_rid < base->row_count(); ++base_rid) {
+    const size_t brid = static_cast<size_t>(base_rid);
     bool base_pass = true;
     for (const BoundPred& p : preds) {
       if (!p.on_base) continue;
-      Result<bool> keep =
-          eval(base->GetValue(base_rid, p.ordinal), p.op, p.literal);
+      Cell cell = base_cols[static_cast<size_t>(p.ordinal)].At(brid);
+      Result<bool> keep = eval(CellToValue(cell, dict), p.op, p.literal);
       if (!keep.ok()) return fail(keep.status());
       if (!*keep) {
         base_pass = false;
@@ -216,34 +245,31 @@ Status Database::CreateMaterializedView(const ViewDef& def) {
     }
     if (!base_pass) continue;
 
+    // `child_rid` is -1 without a join, where every column is on the base.
     auto emit = [&](int64_t child_rid) {
-      Row out_row;
-      out_row.reserve(out_cols.size());
-      for (const BoundCol& bc : out_cols) {
-        if (bc.on_base) {
-          out_row.push_back(base->GetValue(base_rid, bc.ordinal));
-        } else {
-          out_row.push_back(child_rid < 0
-                                ? Value::Null()
-                                : child->GetValue(child_rid, bc.ordinal));
-        }
+      for (size_t k = 0; k < out_cols.size(); ++k) {
+        const size_t ordinal = static_cast<size_t>(out_cols[k].ordinal);
+        out_row[k] = out_cols[k].on_base
+                         ? base_cols[ordinal].At(brid)
+                         : child_cells[ordinal][static_cast<size_t>(child_rid)];
       }
-      out->AppendRow(out_row);
+      out->AppendCellRow(out_row);
     };
 
     if (child == nullptr) {
       emit(-1);
       continue;
     }
-    Value id = base->GetValue(base_rid, base_id);
-    if (id.is_null()) continue;
-    auto [lo, hi] = child_by_pid.equal_range(id.AsInt());
+    Cell id = base_cols[static_cast<size_t>(base_id)].At(brid);
+    if (id.tag == static_cast<uint8_t>(CellTag::kNull)) continue;
+    auto [lo, hi] = child_by_pid.equal_range(static_cast<int64_t>(id.bits));
     for (auto it = lo; it != hi; ++it) {
       bool child_pass = true;
       for (const BoundPred& p : preds) {
         if (p.on_base) continue;
-        Result<bool> keep =
-            eval(child->GetValue(it->second, p.ordinal), p.op, p.literal);
+        Cell cell = child_cells[static_cast<size_t>(p.ordinal)]
+                               [static_cast<size_t>(it->second)];
+        Result<bool> keep = eval(CellToValue(cell, dict), p.op, p.literal);
         if (!keep.ok()) return fail(keep.status());
         if (!*keep) {
           child_pass = false;

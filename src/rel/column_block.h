@@ -12,11 +12,10 @@
 //
 // Determinism contract: encoding choice is a pure function of the block's
 // cells (smallest encoded size wins, ties broken by fixed priority), and
-// DecodeBlock reproduces the original tag/data arrays bit-exactly. The
-// skip set for a scan is a pure function of the sealed blocks' zone maps
-// and the compiled predicates — both the encoded and the forced-plain
-// read paths consult it identically, so results and metering cannot
-// diverge between them.
+// DecodeBlock reproduces the original tag/data arrays bit-exactly — the
+// encoded block is the only stored copy of a sealed row, so nothing else
+// can stand in for it. The skip set for a scan is a pure function of the
+// sealed blocks' zone maps and the compiled predicates.
 
 #ifndef XMLSHRED_REL_COLUMN_BLOCK_H_
 #define XMLSHRED_REL_COLUMN_BLOCK_H_

@@ -1,38 +1,22 @@
 #include "rel/column_reader.h"
 
-#include <cstdlib>
-
 #include "common/logging.h"
 
 namespace xmlshred {
 
-StorageReadMode DefaultStorageReadMode() {
-  static const StorageReadMode mode = [] {
-    const char* v = std::getenv("XS_FORCE_PLAIN");
-    if (v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0')) {
-      return StorageReadMode::kPlain;
-    }
-    return StorageReadMode::kEncoded;
-  }();
-  return mode;
-}
-
-BlockCursor::BlockCursor(const ColumnVector& col, StorageReadMode mode)
-    : col_(&col), mode_(mode), cached_block_(static_cast<size_t>(-1)) {
+BlockCursor::BlockCursor(const ColumnVector& col)
+    : col_(&col), cached_block_(static_cast<size_t>(-1)) {
   num_blocks_ = col.num_sealed_blocks() + (col.tail_rows() > 0 ? 1 : 0);
 }
 
 BlockView BlockCursor::Read(size_t b) {
   XS_CHECK(b < num_blocks_);
-  size_t base = BlockBase(b);
-  if (mode_ == StorageReadMode::kPlain || b >= col_->num_sealed_blocks()) {
-    // Plain mode, or the unsealed tail (stored plain in both modes).
-    BlockView view;
-    view.base = base;
-    view.rows = b < col_->num_sealed_blocks() ? kStorageBlockRows
-                                              : col_->tail_rows();
-    view.tags = col_->tags_data() + base;
-    view.data = col_->raw_data() + base;
+  BlockView view;
+  view.base = BlockBase(b);
+  if (b == col_->num_sealed_blocks()) {
+    view.rows = col_->tail_rows();
+    view.tags = col_->tail_tags();
+    view.data = col_->tail_data();
     return view;
   }
   const EncodedBlock& block = col_->sealed_block(b);
@@ -42,8 +26,6 @@ BlockView BlockCursor::Read(size_t b) {
     DecodeBlock(block, tag_scratch_.data(), data_scratch_.data());
     cached_block_ = b;
   }
-  BlockView view;
-  view.base = base;
   view.rows = block.rows;
   view.tags = tag_scratch_.data();
   view.data = data_scratch_.data();

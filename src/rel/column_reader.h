@@ -1,25 +1,12 @@
-// Redesigned storage read API (DESIGN.md §14): every consumer of column
-// data — the executor's scan paths, the index builder, and the
-// reconstructor — reads through BlockCursor / ColumnReader instead of
-// indexing the plain vectors directly, because sealed blocks may only
-// exist as encoded byte images to a reader.
+// Storage read API (DESIGN.md §14): every reader of column data — the
+// executor's scans and fetches, the index builder, view materialization,
+// statistics, row materialization and the reconstructor — goes through
+// BlockCursor / ColumnReader, because a sealed row exists only as its
+// block's encoded byte image. Sealed blocks are decoded into a
+// per-cursor scratch buffer; the unsealed tail is served by pointer.
 //
-// Two read modes share one access pattern:
-//
-//  * kEncoded (default) — sealed blocks are decoded from their
-//    EncodedBlock byte images into a per-cursor scratch buffer; the
-//    unsealed tail (genuinely stored plain) is served by pointer.
-//  * kPlain — every block is served by pointer into the retained plain
-//    vectors. Selected by the XS_FORCE_PLAIN environment variable or an
-//    explicit ExecOptions flag; exists so differential tests can assert
-//    the two paths produce bit-identical rows, metering, and trip
-//    points. DecodeBlock is bit-exact, so the modes are observationally
-//    equivalent by construction — the toggle changes only where bytes
-//    are read from, never what is charged or skipped.
-//
-// Block skipping (ComputeScanLayout) is mode-independent: the skip set
-// is a pure function of the sealed blocks' zone maps and the compiled
-// predicates.
+// Block skipping (ComputeScanLayout) is a pure function of the sealed
+// blocks' zone maps and the compiled predicates.
 
 #ifndef XMLSHRED_REL_COLUMN_READER_H_
 #define XMLSHRED_REL_COLUMN_READER_H_
@@ -32,16 +19,15 @@
 
 namespace xmlshred {
 
-enum class StorageReadMode : uint8_t {
-  kEncoded = 0,  // decode sealed blocks from their encoded images
-  kPlain = 1,    // serve every block from the retained plain vectors
-};
+// Kept only so that pipebench/pipebench.cc, which passes
+// DefaultStorageReadMode() to ColumnReader, compiles unchanged; nothing
+// else names StorageReadMode. Encoded blocks are the one read path.
+enum class StorageReadMode : uint8_t { kEncoded };
+inline StorageReadMode DefaultStorageReadMode() {
+  return StorageReadMode::kEncoded;
+}
 
-// Process-wide default: kPlain when XS_FORCE_PLAIN is set to a non-empty,
-// non-"0" value in the environment, else kEncoded. Read once and cached.
-StorageReadMode DefaultStorageReadMode();
-
-// A decoded (or plain-pointed) view of one block of one column. Valid
+// A decoded (or tail-pointed) view of one block of one column. Valid
 // until the owning cursor reads another block or is destroyed.
 struct BlockView {
   const uint8_t* tags = nullptr;
@@ -55,7 +41,7 @@ struct BlockView {
 // one tail block of tail_rows() plain cells.
 class BlockCursor {
  public:
-  BlockCursor(const ColumnVector& col, StorageReadMode mode);
+  explicit BlockCursor(const ColumnVector& col);
 
   size_t num_blocks() const { return num_blocks_; }
   // Total rows across all blocks (== col.size()).
@@ -63,36 +49,32 @@ class BlockCursor {
   // Row id of the first row of block `b`.
   size_t BlockBase(size_t b) const { return b * kStorageBlockRows; }
 
-  // Reads block `b`. Encoded mode decodes sealed blocks into the
-  // cursor's scratch (cached: re-reading the same block is free); the
-  // tail and all plain-mode reads are zero-copy pointers.
+  // Reads block `b`. A sealed block is decoded into the cursor's scratch
+  // (cached: re-reading the same block is free); the tail is a zero-copy
+  // pointer.
   BlockView Read(size_t b);
 
  private:
   const ColumnVector* col_;
-  StorageReadMode mode_;
   size_t num_blocks_ = 0;
   size_t cached_block_;  // scratch holds this sealed block (or none)
   std::vector<uint8_t> tag_scratch_;
   std::vector<uint64_t> data_scratch_;
 };
 
-// Cached random access to individual cells through a BlockCursor; view
-// scans, index builds/fetches, and the reconstructor read through this
-// instead of ColumnVector::cell(). Sequential row-id access
-// decodes each block once.
+// Cached random access to individual cells through a BlockCursor.
+// Sequential row-id access decodes each block once.
 class ColumnReader {
  public:
-  ColumnReader(const ColumnVector& col, StorageReadMode mode)
-      : cursor_(col, mode) {}
+  explicit ColumnReader(const ColumnVector& col) : cursor_(col) {}
+  // Kept for pipebench (see StorageReadMode).
+  ColumnReader(const ColumnVector& col, StorageReadMode)
+      : ColumnReader(col) {}
 
   Cell At(size_t rid) {
     if (rid < view_base_ || rid >= view_end_) Seek(rid);
     size_t off = rid - view_base_;
     return Cell{view_.tags[off], view_.data[off]};
-  }
-  bool IsNull(size_t rid) {
-    return At(rid).tag == static_cast<uint8_t>(CellTag::kNull);
   }
   Value GetValue(size_t rid, const StringDictionary& dict);
 
@@ -136,7 +118,7 @@ struct ScanLayout {
 // touch. Sealed blocks whose zone maps refute any probe are skipped when
 // `allow_skip`; the unsealed tail (no zone map) and any block the bound
 // cuts mid-way are always scanned. Pure function of storage + probes:
-// identical for encoded and plain read modes and at any thread count.
+// identical at any thread count.
 ScanLayout ComputeScanLayout(const Table& table, int64_t bound,
                              const std::vector<ColumnProbe>& probes,
                              bool allow_skip);

@@ -95,27 +95,13 @@ BTreeIndex::BTreeIndex(IndexDef def, const Table& table)
   std::vector<SortKey> row_keys(n * nkeys);
   int64_t bytes = 8 * static_cast<int64_t>(n);  // row ids
   for (size_t p = 0; p < width; ++p) {
-    ColumnReader reader(table.column(entry_columns[p]),
-                        DefaultStorageReadMode());
+    ColumnReader reader(table.column(entry_columns[p]));
     for (size_t rid = 0; rid < n; ++rid) {
       Cell cell = reader.At(rid);
       row_tags[rid * width + p] = cell.tag;
       row_data[rid * width + p] = cell.bits;
       if (p < nkeys) row_keys[rid * nkeys + p] = EncodeCellKey(cell, *dict_);
-      switch (static_cast<CellTag>(cell.tag)) {
-        case CellTag::kNull:
-          bytes += 4;
-          break;
-        case CellTag::kInt:
-        case CellTag::kReal:
-          bytes += 8;
-          break;
-        case CellTag::kStr:
-          bytes += static_cast<int64_t>(
-                       dict_->str(static_cast<uint32_t>(cell.bits)).size()) +
-                   2;
-          break;
-      }
+      bytes += CellByteSize(cell, *dict_);
     }
   }
   auto entry_less = [&row_keys, nkeys](int64_t a, int64_t b) {

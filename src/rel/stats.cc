@@ -87,18 +87,12 @@ double TableStats::AvgRowBytes() const {
   return width < 8.0 ? 8.0 : width;
 }
 
-namespace {
-
-// Shared core: column values in row order, presented as pointers so both
-// the row-store and columnar entry points feed the identical computation.
-ColumnStats BuildColumnStatsFromPointers(
-    const std::vector<const Value*>& values) {
+ColumnStats BuildColumnStatsFromValues(const std::vector<Value>& values) {
   ColumnStats stats;
   std::vector<const Value*> non_null;
   non_null.reserve(values.size());
   double bytes = 0;
-  for (const Value* vp : values) {
-    const Value& v = *vp;
+  for (const Value& v : values) {
     bytes += static_cast<double>(v.ByteSize());
     if (v.is_null()) {
       ++stats.null_count;
@@ -168,24 +162,6 @@ ColumnStats BuildColumnStatsFromPointers(
     stats.mcvs = std::move(counts);
   }
   return stats;
-}
-
-ColumnStats BuildColumnStats(const std::vector<Row>& rows, int col) {
-  std::vector<const Value*> values;
-  values.reserve(rows.size());
-  for (const Row& row : rows) {
-    values.push_back(&row[static_cast<size_t>(col)]);
-  }
-  return BuildColumnStatsFromPointers(values);
-}
-
-}  // namespace
-
-ColumnStats BuildColumnStatsFromValues(const std::vector<Value>& values) {
-  std::vector<const Value*> pointers;
-  pointers.reserve(values.size());
-  for (const Value& v : values) pointers.push_back(&v);
-  return BuildColumnStatsFromPointers(pointers);
 }
 
 ColumnStats ScaleColumnStats(const ColumnStats& stats, double factor) {
@@ -260,16 +236,6 @@ ColumnStats MergeColumnStats(const ColumnStats& a, const ColumnStats& b) {
   }
   out.mcvs = std::move(mcvs);
   return out;
-}
-
-TableStats BuildTableStats(const std::vector<Row>& rows, int num_columns) {
-  TableStats stats;
-  stats.row_count = static_cast<int64_t>(rows.size());
-  stats.columns.reserve(static_cast<size_t>(num_columns));
-  for (int c = 0; c < num_columns; ++c) {
-    stats.columns.push_back(BuildColumnStats(rows, c));
-  }
-  return stats;
 }
 
 }  // namespace xmlshred

@@ -66,11 +66,8 @@ inline constexpr int kHistogramBuckets = 32;
 // Cap on tracked most-common values per column.
 inline constexpr int kMaxMcvs = 64;
 
-// Scans `rows` and builds full statistics for a table with `num_columns`
-// columns. Used on really-materialized tables.
-TableStats BuildTableStats(const std::vector<Row>& rows, int num_columns);
-
-// Builds statistics for a single column from its values (NULLs included).
+// Builds statistics for a single column from its values in row order
+// (NULLs included). Table::ComputeStats runs it over each stored column.
 ColumnStats BuildColumnStatsFromValues(const std::vector<Value>& values);
 
 // Returns `stats` rescaled so non-null/null counts (and histogram, MCV,

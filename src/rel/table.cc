@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "rel/column_reader.h"
 
 namespace xmlshred {
 
@@ -34,56 +35,66 @@ Value CellToValue(Cell c, const StringDictionary& dict) {
   return Value::Null();
 }
 
-void ColumnVector::Append(const Value& v, StringDictionary* dict) {
+Cell EncodeValueCell(const Value& v, StringDictionary* dict, int64_t* bytes) {
   Cell cell;
-  int64_t byte_size;
   if (v.is_null()) {
     cell.tag = static_cast<uint8_t>(CellTag::kNull);
-    byte_size = 4;
   } else if (v.is_int()) {
     cell.tag = static_cast<uint8_t>(CellTag::kInt);
     cell.bits = static_cast<uint64_t>(v.AsInt());
-    byte_size = 8;
   } else if (v.is_double()) {
     cell.tag = static_cast<uint8_t>(CellTag::kReal);
     cell.bits = DoubleToCellBits(v.AsDouble());
-    byte_size = 8;
   } else {
     cell.tag = static_cast<uint8_t>(CellTag::kStr);
     cell.bits = dict->Intern(v.AsString());
-    byte_size = static_cast<int64_t>(v.AsString().size()) + 2;
   }
-  AppendCell(cell, byte_size);
+  *bytes = static_cast<int64_t>(v.ByteSize());
+  return cell;
+}
+
+int64_t CellByteSize(Cell c, const StringDictionary& dict) {
+  switch (static_cast<CellTag>(c.tag)) {
+    case CellTag::kNull:
+      return 4;
+    case CellTag::kInt:
+    case CellTag::kReal:
+      return 8;
+    case CellTag::kStr:
+      return static_cast<int64_t>(
+                 dict.str(static_cast<uint32_t>(c.bits)).size()) +
+             2;
+  }
+  return 0;
 }
 
 void ColumnVector::AppendCell(Cell cell, int64_t byte_size) {
   tags_.push_back(cell.tag);
   data_.push_back(cell.bits);
   bytes_ += byte_size;
-  MaybeSealTail();
+  if (tags_.size() < kStorageBlockRows) return;
+  Seal(tags_.data(), data_.data());
+  tags_.clear();
+  data_.clear();
 }
 
 void ColumnVector::AppendRun(const uint8_t* tags, const uint64_t* bits,
                              size_t n, int64_t byte_total) {
   XS_CHECK_EQ(static_cast<int64_t>(tail_rows()), 0);
   XS_CHECK_LE(n, kStorageBlockRows);
-  tags_.insert(tags_.end(), tags, tags + n);
-  data_.insert(data_.end(), bits, bits + n);
   bytes_ += byte_total;
-  MaybeSealTail();
+  if (n == kStorageBlockRows) {
+    Seal(tags, bits);
+    return;
+  }
+  tags_.assign(tags, tags + n);
+  data_.assign(bits, bits + n);
 }
 
-void ColumnVector::MaybeSealTail() {
-  if (tags_.size() % kStorageBlockRows != 0) return;
-  size_t base = sealed_rows();
-  blocks_.push_back(
-      EncodeBlock(tags_.data() + base, data_.data() + base, kStorageBlockRows));
+void ColumnVector::Seal(const uint8_t* tags, const uint64_t* bits) {
+  blocks_.push_back(EncodeBlock(tags, bits, kStorageBlockRows));
   encoded_bytes_ += blocks_.back().encoded_bytes();
   sealed_logical_bytes_ = bytes_;
-}
-
-Value ColumnVector::GetValue(size_t i, const StringDictionary& dict) const {
-  return CellToValue(cell(i), dict);
 }
 
 Table::Table(TableSchema schema, std::shared_ptr<StringDictionary> dict)
@@ -94,7 +105,17 @@ Table::Table(TableSchema schema, std::shared_ptr<StringDictionary> dict)
 void Table::AppendRow(const Row& row) {
   XS_CHECK_EQ(static_cast<int>(row.size()), schema_.num_columns());
   for (size_t c = 0; c < row.size(); ++c) {
-    columns_[c].Append(row[c], dict_.get());
+    int64_t bytes;
+    Cell cell = EncodeValueCell(row[c], dict_.get(), &bytes);
+    columns_[c].AppendCell(cell, bytes);
+  }
+  ++num_rows_;
+}
+
+void Table::AppendCellRow(const std::vector<Cell>& cells) {
+  XS_CHECK_EQ(static_cast<int>(cells.size()), schema_.num_columns());
+  for (size_t c = 0; c < cells.size(); ++c) {
+    columns_[c].AppendCell(cells[c], CellByteSize(cells[c], *dict_));
   }
   ++num_rows_;
 }
@@ -111,29 +132,34 @@ void Table::AppendBlock(const std::vector<const uint8_t*>& tags,
   num_rows_ += rows;
 }
 
-void Table::Reserve(size_t n) {
-  for (ColumnVector& col : columns_) col.Reserve(n);
-}
-
 Value Table::GetValue(int64_t rid, int col) const {
-  return columns_[static_cast<size_t>(col)].GetValue(
-      static_cast<size_t>(rid), *dict_);
+  return ColumnReader(columns_[static_cast<size_t>(col)])
+      .GetValue(static_cast<size_t>(rid), *dict_);
 }
 
 Row Table::GetRow(int64_t rid) const {
   Row row;
   row.reserve(columns_.size());
   for (const ColumnVector& col : columns_) {
-    row.push_back(col.GetValue(static_cast<size_t>(rid), *dict_));
+    row.push_back(
+        ColumnReader(col).GetValue(static_cast<size_t>(rid), *dict_));
   }
   return row;
 }
 
 std::vector<Row> Table::MaterializeRows() const {
+  std::vector<ColumnReader> readers;
+  readers.reserve(columns_.size());
+  for (const ColumnVector& col : columns_) readers.emplace_back(col);
   std::vector<Row> rows;
   rows.reserve(num_rows_);
   for (size_t rid = 0; rid < num_rows_; ++rid) {
-    rows.push_back(GetRow(static_cast<int64_t>(rid)));
+    Row row;
+    row.reserve(readers.size());
+    for (ColumnReader& reader : readers) {
+      row.push_back(reader.GetValue(rid, *dict_));
+    }
+    rows.push_back(std::move(row));
   }
   return rows;
 }
@@ -176,10 +202,11 @@ TableStats Table::ComputeStats() const {
   stats.columns.reserve(columns_.size());
   std::vector<Value> scratch;
   for (const ColumnVector& col : columns_) {
+    ColumnReader reader(col);
     scratch.clear();
     scratch.reserve(num_rows_);
-    for (size_t i = 0; i < num_rows_; ++i) {
-      scratch.push_back(col.GetValue(i, *dict_));
+    for (size_t rid = 0; rid < num_rows_; ++rid) {
+      scratch.push_back(reader.GetValue(rid, *dict_));
     }
     stats.columns.push_back(BuildColumnStatsFromValues(scratch));
   }

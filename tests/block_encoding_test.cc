@@ -12,11 +12,11 @@
 //  * Zone-map soundness: a block that contains a cell satisfying a probe
 //    is never skippable (ZoneCanMatch may over-approximate, never
 //    under-approximate).
-//  * Pruning differential: encoded vs. forced-plain reads produce
-//    bit-identical rows, ExecMetrics, EXPLAIN actuals, and metrics
-//    registry digests at threads {1, 4} and both scan flavors, while
-//    zone maps demonstrably skip blocks; governor trip points agree to
-//    the work unit.
+//  * Pruning: a zone-map-pruned scan returns exactly the rows the
+//    fixture appended to the one block that can match, and its rows,
+//    ExecMetrics, EXPLAIN actuals and metrics registry digest are
+//    bit-identical at threads {1, 4}; governor trip points agree to the
+//    work unit.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/limits.h"
@@ -34,7 +35,6 @@
 #include "opt/planner.h"
 #include "rel/catalog.h"
 #include "rel/column_block.h"
-#include "rel/column_reader.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
@@ -165,7 +165,7 @@ TEST_P(RoundTripTest, EncodeDecodeIsBitExact) {
         CellVec candidate = v;
         candidate.erase(i);
         if (!RoundTripFailure(candidate).empty()) {
-          v = candidate;
+          v = std::move(candidate);
           shrunk = true;
           break;
         }
@@ -391,8 +391,8 @@ TEST_P(ZoneMapTest, NeverSkipsAMatchingBlock) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ZoneMapTest, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------
-// Pruning differential: encoded vs. plain, 1 vs. 4 workers — one
-// observable bundle, bit-identical everywhere.
+// Pruning: exact rows from the fixture's own data, and one observable
+// bundle, bit-identical at 1 and 4 workers.
 
 struct DiffFixture {
   Database db;
@@ -450,15 +450,13 @@ struct DiffRun {
 };
 
 DiffRun RunConfig(const Database& db, const PlannedQuery& plan,
-                  StorageReadMode mode, int threads,
-                  int64_t work_units = 0) {
+                  int threads, int64_t work_units = 0) {
   ResourceLimits limits;
   limits.work_units = work_units;
   ResourceGovernor governor(limits);
   MetricsRegistry registry;
   ExplainNode tree = BuildExplainTree(*plan.root);
   ExecOptions options;
-  options.storage_read_mode = mode;
   options.exec_threads = threads;
   options.governor = &governor;
   options.metrics = &registry;
@@ -493,55 +491,47 @@ void ExpectIdentical(const DiffRun& a, const DiffRun& b,
   EXPECT_EQ(a.metrics_json, b.metrics_json) << label;
 }
 
-TEST(PruningDifferentialTest, EncodedAndPlainAgreeEverywhere) {
+TEST(PruningDifferentialTest, PrunedScanReturnsFixtureRowsAtEveryThreadCount) {
   DiffFixture f;
   PreparedQuery q =
       Prepare(f.db, "SELECT ID, label FROM blocks WHERE bucket = 3");
   const PlannedQuery& plan = q.planned;
-  DiffRun reference = RunConfig(f.db, plan, StorageReadMode::kEncoded,
-                                /*threads=*/1);
+  DiffRun reference = RunConfig(f.db, plan, /*threads=*/1);
   ASSERT_TRUE(reference.status.ok()) << reference.status;
   // The selective scan pruned the three sealed blocks whose constant
-  // bucket refutes the predicate and returned exactly block 3.
-  EXPECT_EQ(reference.m.rows_out, static_cast<int64_t>(kStorageBlockRows));
+  // bucket refutes the predicate and returned exactly block 3: IDs
+  // 3*4096 .. 4*4096-1, each labelled v_<ID mod 7>.
+  const int64_t block_rows = static_cast<int64_t>(kStorageBlockRows);
+  ASSERT_EQ(reference.rows.size(), kStorageBlockRows);
+  for (int64_t k = 0; k < block_rows; ++k) {
+    const int64_t id = 3 * block_rows + k;
+    const Row& row = reference.rows[static_cast<size_t>(k)];
+    ASSERT_EQ(row.size(), 2u);
+    ASSERT_TRUE(row[0].TotalEquals(Value::Int(id))) << "row " << k;
+    ASSERT_TRUE(row[1].TotalEquals(Value::Str("v_" + std::to_string(id % 7))))
+        << "row " << k;
+  }
+  EXPECT_EQ(reference.m.rows_out, block_rows);
   EXPECT_EQ(reference.m.blocks_skipped, 3);
   EXPECT_EQ(reference.m.blocks_scanned, 2);  // block 3 + the tail
   EXPECT_NE(reference.explain_json.find("\"actual_blocks_skipped\": 3"),
             std::string::npos);
 
-  for (StorageReadMode mode :
-       {StorageReadMode::kEncoded, StorageReadMode::kPlain}) {
-    for (int threads : {1, 4}) {
-      std::string label =
-          std::string(mode == StorageReadMode::kPlain ? "plain"
-                                                      : "encoded") +
-          " t" + std::to_string(threads);
-      DiffRun run = RunConfig(f.db, plan, mode, threads);
-      ExpectIdentical(reference, run, label);
-    }
-  }
+  DiffRun t4 = RunConfig(f.db, plan, /*threads=*/4);
+  ExpectIdentical(reference, t4, "t4");
 }
 
 TEST(PruningDifferentialTest, GovernorTripPointsAgree) {
   DiffFixture f;
   // Unselective scan (nothing pruned) under a budget that trips mid-run:
-  // the trip must land on the same work unit in every configuration.
+  // the trip must land on the same work unit at every thread count.
   PreparedQuery q = Prepare(f.db, "SELECT ID FROM blocks WHERE bucket >= 0");
   const PlannedQuery& plan = q.planned;
-  DiffRun reference = RunConfig(f.db, plan, StorageReadMode::kEncoded,
-                                /*threads=*/1, /*work_units=*/4);
+  DiffRun reference =
+      RunConfig(f.db, plan, /*threads=*/1, /*work_units=*/4);
   EXPECT_EQ(reference.status.code(), StatusCode::kResourceExhausted);
-  for (StorageReadMode mode :
-       {StorageReadMode::kEncoded, StorageReadMode::kPlain}) {
-    for (int threads : {1, 4}) {
-      std::string label =
-          std::string(mode == StorageReadMode::kPlain ? "plain"
-                                                      : "encoded") +
-          " t" + std::to_string(threads) + " trip";
-      DiffRun run = RunConfig(f.db, plan, mode, threads, /*work_units=*/4);
-      ExpectIdentical(reference, run, label);
-    }
-  }
+  DiffRun t4 = RunConfig(f.db, plan, /*threads=*/4, /*work_units=*/4);
+  ExpectIdentical(reference, t4, "t4 trip");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "common/strings.h"
 #include "rel/catalog.h"
+#include "rel/column_reader.h"
 
 namespace xmlshred {
 
@@ -32,9 +33,13 @@ inline uint64_t DatabaseDigest(const Database& db) {
       h = DigestMix(h, static_cast<uint64_t>(col.byte_total()));
       h = DigestMix(h, col.num_sealed_blocks());
       h = DigestMix(h, static_cast<uint64_t>(col.sealed_encoded_bytes()));
-      for (size_t i = 0; i < col.size(); ++i) {
-        h = DigestMix(h, col.tags_data()[i]);
-        h = DigestMix(h, col.raw_data()[i]);
+      BlockCursor cursor(col);
+      for (size_t b = 0; b < cursor.num_blocks(); ++b) {
+        BlockView view = cursor.Read(b);
+        for (size_t i = 0; i < view.rows; ++i) {
+          h = DigestMix(h, view.tags[i]);
+          h = DigestMix(h, view.data[i]);
+        }
       }
     }
   }

@@ -231,12 +231,12 @@ TEST(PlannerDegenerateTest, HypotheticalIndexUsedInPlanOnly) {
                          {"x", ColumnType::kInt64, true},
                          {"y", ColumnType::kString, true}};
   desc.schema.id_column = 0;
-  std::vector<Row> rows;
+  Table table(desc.schema);
   for (int i = 0; i < 100000; ++i) {
-    rows.push_back({Value::Int(i), Value::Int(i % 1000),
-                    Value::Str("some long payload string here")});
+    table.AppendRow({Value::Int(i), Value::Int(i % 1000),
+                     Value::Str("some long payload string here")});
   }
-  desc.stats = BuildTableStats(rows, 3);
+  desc.stats = table.ComputeStats();
   catalog.tables["t"] = desc;
   IndexDesc idx;
   idx.def.name = "hyp";

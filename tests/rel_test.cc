@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "rel/catalog.h"
+#include "rel/column_reader.h"
 #include "rel/index.h"
 #include "rel/stats.h"
 #include "rel/table.h"
@@ -100,7 +109,6 @@ TEST(TableTest, PageAccounting) {
 TEST(TableTest, MillionRowPageCountIsExact) {
   Table table(MakePubSchema());
   constexpr int64_t kRows = 1000000;
-  table.Reserve(static_cast<size_t>(kRows));
   for (int64_t i = 0; i < kRows; ++i) {
     table.AppendRow({Value::Int(i), Value::Null(),
                      Value::Str("title_" + std::to_string(i % 10)),
@@ -293,6 +301,202 @@ TEST(CatalogTest, MaterializedJoinView) {
   const Table* view = db.FindTable("v_join");
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->row_count(), 10);  // 5 parents x 2 authors
+}
+
+// A view cell as the oracle expects it stored: the tag and raw bits of
+// `v`, strings by their code in `dict`.
+std::pair<uint8_t, uint64_t> OracleCell(const Value& v,
+                                        const StringDictionary& dict) {
+  if (v.is_null()) return {static_cast<uint8_t>(CellTag::kNull), 0};
+  if (v.is_int()) {
+    return {static_cast<uint8_t>(CellTag::kInt),
+            static_cast<uint64_t>(v.AsInt())};
+  }
+  if (v.is_double()) {
+    uint64_t bits;
+    double d = v.AsDouble();
+    std::memcpy(&bits, &d, sizeof(bits));
+    return {static_cast<uint8_t>(CellTag::kReal), bits};
+  }
+  uint32_t code = dict.Lookup(v.AsString());
+  EXPECT_NE(code, StringDictionary::kNotFound) << v.AsString();
+  return {static_cast<uint8_t>(CellTag::kStr), code};
+}
+
+using CellRow = std::vector<std::pair<uint8_t, uint64_t>>;
+
+// Checks `view` against `groups`: the oracle's rows, one group per base
+// row in base-row order. Groups must appear in order; rows within a group
+// are compared as a multiset, since the join's hash table fixes their
+// order. Also checks each column's byte tally against Value::ByteSize.
+void ExpectViewMatches(const Database& db, const Table& view,
+                       const std::vector<std::vector<Row>>& groups) {
+  const StringDictionary& dict = db.dictionary();
+  const int ncols = view.schema().num_columns();
+  std::vector<ColumnReader> readers;
+  for (int c = 0; c < ncols; ++c) readers.emplace_back(view.column(c));
+  std::vector<int64_t> want_bytes(static_cast<size_t>(ncols), 0);
+  size_t rid = 0;
+  for (const std::vector<Row>& group : groups) {
+    std::vector<CellRow> want, got;
+    for (const Row& row : group) {
+      ASSERT_EQ(row.size(), static_cast<size_t>(ncols));
+      CellRow cells;
+      for (int c = 0; c < ncols; ++c) {
+        cells.push_back(OracleCell(row[static_cast<size_t>(c)], dict));
+        want_bytes[static_cast<size_t>(c)] +=
+            static_cast<int64_t>(row[static_cast<size_t>(c)].ByteSize());
+      }
+      want.push_back(std::move(cells));
+      ASSERT_LT(rid, static_cast<size_t>(view.row_count()));
+      CellRow stored;
+      for (ColumnReader& reader : readers) {
+        Cell cell = reader.At(rid);
+        stored.emplace_back(cell.tag, cell.bits);
+      }
+      got.push_back(std::move(stored));
+      ++rid;
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(want, got) << "group ending before view row " << rid;
+  }
+  EXPECT_EQ(rid, static_cast<size_t>(view.row_count()));
+  for (int c = 0; c < ncols; ++c) {
+    EXPECT_EQ(view.column(c).byte_total(), want_bytes[static_cast<size_t>(c)])
+        << view.schema().columns[static_cast<size_t>(c)].name;
+  }
+}
+
+// Views over a base and a child table that each span several sealed
+// blocks plus a tail, checked cell by cell against a Value-level oracle
+// computed from the appended rows: int, string, NULL and real cells
+// (NaN and -0.0 among them, and int cells in a real column), NULL PIDs,
+// PIDs with no parent, and child rows out of PID order.
+TEST(CatalogTest, ViewsOverSealedBlocksMatchValueOracle) {
+  const int64_t block = static_cast<int64_t>(kStorageBlockRows);
+  const int64_t num_base = 3 * block + 1000;
+  const int64_t num_child = 3 * block + 1500;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  Database db;
+  TableSchema base_schema;
+  base_schema.name = "pub";
+  base_schema.columns = {{"ID", ColumnType::kInt64, false},
+                         {"PID", ColumnType::kInt64, true},
+                         {"title", ColumnType::kString, true},
+                         {"score", ColumnType::kDouble, true},
+                         {"year", ColumnType::kInt64, true}};
+  base_schema.id_column = 0;
+  base_schema.pid_column = 1;
+  TableSchema child_schema;
+  child_schema.name = "pub_author";
+  child_schema.columns = {{"ID", ColumnType::kInt64, false},
+                          {"PID", ColumnType::kInt64, true},
+                          {"author", ColumnType::kString, true},
+                          {"weight", ColumnType::kDouble, true}};
+  child_schema.id_column = 0;
+  child_schema.pid_column = 1;
+  auto base = db.CreateTable(base_schema);
+  auto child = db.CreateTable(child_schema);
+  ASSERT_TRUE(base.ok() && child.ok());
+
+  std::vector<Row> base_rows;
+  for (int64_t i = 0; i < num_base; ++i) {
+    Value title = i % 11 == 0 ? Value::Null()
+                              : Value::Str("t_" + std::to_string(i * 7 % 10));
+    Value score = i % 97 == 0   ? Value::Real(nan)
+                  : i % 89 == 0 ? Value::Real(-0.0)
+                  : i % 13 == 0 ? Value::Null()
+                                : Value::Real(0.25 * (i % 50) - 3.0);
+    Value year = i % 17 == 0 ? Value::Null() : Value::Int(1990 + i * 31 % 20);
+    base_rows.push_back({Value::Int(1000 + i), Value::Null(), title, score,
+                         year});
+  }
+  Rng rng(17);
+  std::vector<Row> child_rows;
+  for (int64_t j = 0; j < num_child; ++j) {
+    // Random parents (some past the last base ID) put the child rows out
+    // of PID order.
+    Value pid = j % 19 == 0 ? Value::Null()
+                            : Value::Int(1000 + rng.Uniform(0, num_base + 50));
+    Value author = j % 23 == 0 ? Value::Null()
+                               : Value::Str("a_" + std::to_string(j % 37));
+    Value weight = j % 29 == 0   ? Value::Real(nan)
+                   : j % 31 == 0 ? Value::Real(-0.0)
+                   : j % 41 == 0 ? Value::Null()
+                   : j % 43 == 0 ? Value::Int(j % 3)
+                                 : Value::Real(0.01 * (j % 100));
+    child_rows.push_back({Value::Int(100000 + j), pid, author, weight});
+  }
+  for (const Row& row : base_rows) (*base)->AppendRow(row);
+  for (const Row& row : child_rows) (*child)->AppendRow(row);
+  ASSERT_GE((*base)->column(0).num_sealed_blocks(), 3u);
+  ASSERT_GT((*base)->column(0).tail_rows(), 0u);
+  ASSERT_GE((*child)->column(0).num_sealed_blocks(), 3u);
+  ASSERT_GT((*child)->column(0).tail_rows(), 0u);
+
+  // The oracle's predicates, written out on Values.
+  auto year_ok = [](const Row& r) {
+    return r[4].is_int() && r[4].AsInt() >= 1995;
+  };
+  auto title_ok = [](const Row& r) {
+    return r[2].is_string() && r[2].AsString() <= "t_5";
+  };
+  auto weight_ok = [](const Row& r) {
+    return !r[3].is_null() && r[3].AsNumeric() < 0.75;
+  };
+
+  ViewDef sel;
+  sel.name = "v_sel";
+  sel.base_table = "pub";
+  sel.preds = {{"pub", "title", "<=", Value::Str("t_5")}};
+  sel.projected = {{"pub", "ID"}, {"pub", "score"}, {"pub", "year"},
+                   {"pub", "title"}};
+  ASSERT_TRUE(db.CreateMaterializedView(sel).ok());
+  std::vector<std::vector<Row>> sel_groups;
+  for (const Row& b : base_rows) {
+    if (title_ok(b)) sel_groups.push_back({{b[0], b[3], b[4], b[2]}});
+  }
+
+  ViewDef join;
+  join.name = "v_join";
+  join.base_table = "pub";
+  join.join_child = "pub_author";
+  join.preds = {{"pub", "year", ">=", Value::Int(1995)},
+                {"pub_author", "weight", "<", Value::Real(0.75)}};
+  join.projected = {{"pub", "ID"},
+                    {"pub_author", "author"},
+                    {"pub", "score"},
+                    {"pub_author", "weight"},
+                    {"pub", "title"},
+                    {"pub_author", "ID"}};
+  ASSERT_TRUE(db.CreateMaterializedView(join).ok());
+  std::map<int64_t, std::vector<const Row*>> children_of;
+  for (const Row& c : child_rows) {
+    if (!c[1].is_null()) children_of[c[1].AsInt()].push_back(&c);
+  }
+  std::vector<std::vector<Row>> join_groups;
+  for (const Row& b : base_rows) {
+    if (!year_ok(b)) continue;
+    std::vector<Row> group;
+    for (const Row* c : children_of[b[0].AsInt()]) {
+      if (weight_ok(*c)) {
+        group.push_back({b[0], (*c)[2], b[3], (*c)[3], b[2], (*c)[0]});
+      }
+    }
+    if (!group.empty()) join_groups.push_back(std::move(group));
+  }
+
+  const Table* sel_view = db.FindTable("v_sel");
+  const Table* join_view = db.FindTable("v_join");
+  ASSERT_NE(sel_view, nullptr);
+  ASSERT_NE(join_view, nullptr);
+  // Both views seal blocks of their own.
+  EXPECT_GE(sel_view->column(0).num_sealed_blocks(), 1u);
+  EXPECT_GE(join_view->column(0).num_sealed_blocks(), 1u);
+  ExpectViewMatches(db, *sel_view, sel_groups);
+  ExpectViewMatches(db, *join_view, join_groups);
 }
 
 TEST(CatalogTest, DropPhysicalStructuresKeepsTables) {

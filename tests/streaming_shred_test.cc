@@ -625,7 +625,7 @@ TEST(StreamingShred, TransientPeakIsFlatAcrossDocumentSize) {
 
 // The one-pass build against an independent reference: row ids sorted by
 // the key Values under TotalLess, then by row id, with every entry cell
-// read back through Table::GetValue. The table spans several sealed
+// compared with the Value the test appended. The table spans several sealed
 // blocks and its keys run out of row-id order, so a build that pairs a
 // key with another row's cells, or breaks key ties other than by row id,
 // fails here.
@@ -641,12 +641,14 @@ TEST(StreamingShred, IndexBuildMatchesValueOrderReference) {
   ASSERT_TRUE(created.ok()) << created.status();
   Table* table = *created;
   const int64_t rows = 3 * static_cast<int64_t>(kStorageBlockRows) + 123;
+  std::vector<Row> appended;
   for (int64_t rid = 0; rid < rows; ++rid) {
     Value name = rid % 13 == 0 ? Value::Null()
                                : Value::Str("n" + std::to_string(
                                                       (rid * 7919) % 97));
     Value score = rid % 17 == 0 ? Value::Null() : Value::Int((rid * 31) % 11);
-    table->AppendRow({Value::Int(rows - rid), name, score});
+    appended.push_back({Value::Int(rows - rid), name, score});
+    table->AppendRow(appended.back());
   }
   ASSERT_GE(table->column(1).num_sealed_blocks(), 3u);
 
@@ -667,7 +669,8 @@ TEST(StreamingShred, IndexBuildMatchesValueOrderReference) {
     std::vector<int64_t> order(static_cast<size_t>(rows));
     for (int64_t rid = 0; rid < rows; ++rid) {
       for (int col : def.key_columns) {
-        keys[static_cast<size_t>(rid)].push_back(table->GetValue(rid, col));
+        keys[static_cast<size_t>(rid)].push_back(
+            appended[static_cast<size_t>(rid)][static_cast<size_t>(col)]);
       }
       order[static_cast<size_t>(rid)] = rid;
     }
@@ -685,7 +688,9 @@ TEST(StreamingShred, IndexBuildMatchesValueOrderReference) {
     for (size_t e = 0; e < order.size(); ++e) {
       ASSERT_EQ(ix->entry_row_id(e), order[e]) << "entry " << e;
       for (size_t p = 0; p < entry_columns.size(); ++p) {
-        Value want = table->GetValue(order[e], entry_columns[p]);
+        const Value& want =
+            appended[static_cast<size_t>(order[e])]
+                    [static_cast<size_t>(entry_columns[p])];
         Value got = ix->EntryValue(e, static_cast<int>(p));
         ASSERT_TRUE(got.TotalEquals(want))
             << "entry " << e << " pos " << p << ": " << got.ToString()
