@@ -20,10 +20,11 @@ namespace xmlshred {
 
 namespace {
 
-// Batch of rows flowing between operators: a flat row-major cell array.
+// Batch of rows written by an operator: a flat row-major cell array.
 // Cells carry dictionary codes for strings, so operators compare and copy
-// 9-byte cells; Values are built only for Executor::Run callers, once, at
-// the plan root (Executor::Count only counts the root chunk's rows).
+// 16-byte cells (a tag and a 64-bit slot, padded); Values are built only
+// for Executor::Run callers, once, at the plan root (Executor::Count only
+// counts the root's rows).
 struct Chunk {
   int width = 0;
   size_t num_rows = 0;
@@ -36,6 +37,111 @@ struct Chunk {
     cells.reserve(n * static_cast<size_t>(width));
   }
 };
+
+// One chunk read through a column map: output column j is the chunk's
+// column map[j], or NULL when map[j] < 0.
+struct Part {
+  Chunk chunk;
+  std::vector<int> map;
+  size_t first = 0;  // position of the chunk's first row in its RowSet
+
+  Cell At(size_t r, size_t j) const {
+    int c = map[j];
+    return c < 0 ? Cell{} : chunk.row(r)[static_cast<size_t>(c)];
+  }
+};
+
+// Rows flowing between operators: the concatenation of one or more
+// parts. Project composes its items into each part's map and UnionAll
+// lists its branches' parts, so neither copies a cell; a mapped row is
+// written once, by the Sort above it (or by a join or aggregate reading
+// it, which no planned query does), or converted to Values by Run.
+struct RowSet {
+  int width = 0;
+  size_t num_rows = 0;
+  std::vector<Part> parts;
+
+  // A chunk as is, through the identity map.
+  static RowSet Whole(Chunk chunk) {
+    RowSet rows;
+    rows.width = chunk.width;
+    std::vector<int> map(static_cast<size_t>(chunk.width));
+    std::iota(map.begin(), map.end(), 0);
+    rows.Append(Part{std::move(chunk), std::move(map)});
+    return rows;
+  }
+
+  void Append(Part part) {
+    part.first = num_rows;
+    num_rows += part.chunk.num_rows;
+    parts.push_back(std::move(part));
+  }
+
+  // The part holding row g: the last part starting at or before g (empty
+  // parts share their successor's start, so they are passed over). A
+  // branch-free count, as a query's parts are its few union branches.
+  const Part& PartOf(size_t g) const {
+    size_t k = 0;
+    for (size_t i = 1; i < parts.size(); ++i) k += g >= parts[i].first;
+    return parts[k];
+  }
+
+  // The one flat chunk, when the rows are a single chunk read as is.
+  bool IsWhole() const {
+    if (parts.size() != 1) return false;
+    const Part& p = parts[0];
+    for (size_t j = 0; j < p.map.size(); ++j) {
+      if (p.map[j] != static_cast<int>(j)) return false;
+    }
+    return p.map.size() == static_cast<size_t>(p.chunk.width);
+  }
+};
+
+// Stable natural merge sort of positions [0, n) under `less`: the input
+// is split into maximal non-decreasing runs, and adjacent runs are merged
+// pairwise (std::merge takes from the earlier run on ties) until one run
+// is left. A stable sort's output is unique, so this is std::stable_sort's
+// order, at O(n log r) for r runs: a sorted outer union's branches each
+// arrive in ID order, so r is at most the number of branches. A run
+// shorter than kMinRun absorbs the rows after it by insertion (equal rows
+// stay in input order), so shuffled input merges no more often than
+// std::stable_sort does.
+template <typename Less>
+std::vector<size_t> NaturalMergeSort(size_t n, const Less& less) {
+  constexpr size_t kMinRun = 16;
+  std::vector<size_t> perm(n);
+  std::iota(perm.begin(), perm.end(), size_t{0});
+  std::vector<size_t> bounds = {0};  // run starts, then n
+  for (size_t i = 1; i < n; ++i) {
+    if (!less(i, perm[i - 1])) continue;  // row i extends the run
+    if (i - bounds.back() >= kMinRun) {
+      bounds.push_back(i);
+      continue;
+    }
+    size_t j = i;
+    for (; j > bounds.back() && less(i, perm[j - 1]); --j) {
+      perm[j] = perm[j - 1];
+    }
+    perm[j] = i;
+  }
+  bounds.push_back(n);
+  std::vector<size_t> merged(bounds.size() > 2 ? n : 0);
+  while (bounds.size() > 2) {
+    size_t runs = bounds.size() - 1;
+    std::vector<size_t> next = {0};
+    for (size_t k = 0; k < runs; k += 2) {
+      size_t lo = bounds[k];
+      size_t mid = bounds[k + 1];
+      size_t hi = k + 1 < runs ? bounds[k + 2] : mid;
+      std::merge(perm.data() + lo, perm.data() + mid, perm.data() + mid,
+                 perm.data() + hi, merged.data() + lo, less);
+      next.push_back(hi);
+    }
+    perm.swap(merged);
+    bounds.swap(next);
+  }
+  return perm;
+}
 
 // A BoundFilter compiled against the dictionary: the literal is resolved
 // to a double, a dictionary code, or an encoded string sort key once, so
@@ -530,7 +636,7 @@ class ExecState {
   // run-wide meter — the same semantics as the planner's inclusive
   // est_cost / est_pages — at the cost of two double reads per node; when
   // null, recording is a single pointer test.
-  Result<Chunk> Exec(const PlanNode& node, ExplainNode* en) {
+  Result<RowSet> Exec(const PlanNode& node, ExplainNode* en) {
     // Plan trees are recursive structures; guard their depth, and charge
     // every node's output rows against the governor's row cap.
     RecursionScope scope(governor_);
@@ -547,9 +653,9 @@ class ExecState {
       blocks_skipped_before = metrics_->blocks_skipped;
       if (capture_timing_) start = std::chrono::steady_clock::now();
     }
-    XS_ASSIGN_OR_RETURN(Chunk chunk, ExecNode(node, en));
+    XS_ASSIGN_OR_RETURN(RowSet rows, ExecNode(node, en));
     if (en != nullptr) {
-      en->actual_rows = static_cast<int64_t>(chunk.num_rows);
+      en->actual_rows = static_cast<int64_t>(rows.num_rows);
       en->actual_work = metrics_->work - work_before;
       en->actual_pages =
           metrics_->pages_sequential + metrics_->pages_random - pages_before;
@@ -565,9 +671,9 @@ class ExecState {
     }
     if (governor_ != nullptr) {
       XS_RETURN_IF_ERROR(
-          governor_->ChargeRows(static_cast<int64_t>(chunk.num_rows)));
+          governor_->ChargeRows(static_cast<int64_t>(rows.num_rows)));
     }
-    return chunk;
+    return rows;
   }
 
   const StringDictionary& dict() const { return dict_; }
@@ -579,29 +685,67 @@ class ExecState {
     return en == nullptr ? nullptr : &en->children[i];
   }
 
-  Result<Chunk> ExecNode(const PlanNode& node, ExplainNode* en) {
+  // Operators other than Project and UnionAll write one flat chunk.
+  static Result<RowSet> Whole(Result<Chunk> chunk) {
+    if (!chunk.ok()) return chunk.status();
+    return RowSet::Whole(chunk.TakeValue());
+  }
+
+  Result<RowSet> ExecNode(const PlanNode& node, ExplainNode* en) {
     switch (node.kind) {
       case PlanKind::kHeapScan:
-        return ExecHeapScan(node);
+        return Whole(ExecHeapScan(node));
       case PlanKind::kIndexSeek:
       case PlanKind::kIndexOnlyScan:
-        return ExecIndexPath(node);
+        return Whole(ExecIndexPath(node));
       case PlanKind::kViewScan:
-        return ExecViewScan(node);
+        return Whole(ExecViewScan(node));
       case PlanKind::kIndexNlJoin:
-        return ExecIndexNlJoin(node, en);
+        return Whole(ExecIndexNlJoin(node, en));
       case PlanKind::kHashJoin:
-        return ExecHashJoin(node, en);
+        return Whole(ExecHashJoin(node, en));
       case PlanKind::kProject:
         return ExecProject(node, en);
       case PlanKind::kAggregate:
-        return ExecAggregate(node, en);
+        return Whole(ExecAggregate(node, en));
       case PlanKind::kUnionAll:
         return ExecUnionAll(node, en);
       case PlanKind::kSort:
-        return ExecSort(node, en);
+        return Whole(ExecSort(node, en));
     }
     return Internal("unknown plan kind");
+  }
+
+  // Writes `in`'s rows into one chunk sized once: row r of the chunk is
+  // row order[r] of `in`, or row r when `order` is null. Output morsels
+  // write disjoint rows, so the write runs through ParallelFor.
+  Chunk WriteRows(const RowSet& in, const std::vector<size_t>* order) {
+    Chunk out;
+    out.width = in.width;
+    out.num_rows = in.num_rows;
+    size_t n = in.num_rows;
+    size_t width = static_cast<size_t>(in.width);
+    out.cells.resize(n * width);
+    ParallelFor(num_threads_, static_cast<int>(NumMorsels(n)), [&](int m) {
+      size_t lo = static_cast<size_t>(m) * kMorselRows;
+      size_t hi = std::min(n, lo + kMorselRows);
+      for (size_t r = lo; r < hi; ++r) {
+        size_t g = order == nullptr ? r : (*order)[r];
+        const Part& part = in.PartOf(g);
+        for (size_t j = 0; j < width; ++j) {
+          out.cells[r * width + j] = part.At(g - part.first, j);
+        }
+      }
+    });
+    return out;
+  }
+
+  // Input of an operator that reads flat rows (joins, aggregates): the
+  // child's chunk as is, or its mapped rows written once.
+  Result<Chunk> ExecFlat(const PlanNode& node, ExplainNode* en) {
+    XS_ASSIGN_OR_RETURN(RowSet rows, Exec(node, en));
+    if (rows.IsWhole()) return std::move(rows.parts[0].chunk);
+    return WriteRows(rows, nullptr);
   }
 
   // Metering records into `metrics_` first (telemetry reflects all work
@@ -1116,7 +1260,8 @@ class ExecState {
   }
 
   Result<Chunk> ExecIndexNlJoin(const PlanNode& node, ExplainNode* en) {
-    XS_ASSIGN_OR_RETURN(Chunk outer, Exec(*node.children[0], Child(en, 0)));
+    XS_ASSIGN_OR_RETURN(Chunk outer,
+                        ExecFlat(*node.children[0], Child(en, 0)));
     const BTreeIndex* index = db_.FindIndex(node.object_name);
     if (index == nullptr) return NotFound("index " + node.object_name);
     const Table* table = db_.FindTable(node.base_table);
@@ -1223,8 +1368,10 @@ class ExecState {
   }
 
   Result<Chunk> ExecHashJoin(const PlanNode& node, ExplainNode* en) {
-    XS_ASSIGN_OR_RETURN(Chunk probe, Exec(*node.children[0], Child(en, 0)));
-    XS_ASSIGN_OR_RETURN(Chunk build, Exec(*node.children[1], Child(en, 1)));
+    XS_ASSIGN_OR_RETURN(Chunk probe,
+                        ExecFlat(*node.children[0], Child(en, 0)));
+    XS_ASSIGN_OR_RETURN(Chunk build,
+                        ExecFlat(*node.children[1], Child(en, 1)));
     int probe_pos = node.children[0]->FindSlot(node.probe_key);
     int build_pos = node.children[1]->FindSlot(node.build_key);
     if (probe_pos < 0 || build_pos < 0) {
@@ -1310,8 +1457,10 @@ class ExecState {
     return out;
   }
 
-  Result<Chunk> ExecProject(const PlanNode& node, ExplainNode* en) {
-    XS_ASSIGN_OR_RETURN(Chunk input, Exec(*node.children[0], Child(en, 0)));
+  // Composes the select list into each part's column map; no cell is
+  // copied.
+  Result<RowSet> ExecProject(const PlanNode& node, ExplainNode* en) {
+    XS_ASSIGN_OR_RETURN(RowSet input, Exec(*node.children[0], Child(en, 0)));
     const PlanNode& child = *node.children[0];
     std::vector<int> positions;
     positions.reserve(node.project_items.size());
@@ -1324,18 +1473,16 @@ class ExecState {
         positions.push_back(pos);
       }
     }
-    Chunk out;
-    out.width = static_cast<int>(positions.size());
-    out.num_rows = input.num_rows;
-    out.ReserveRows(input.num_rows);
-    for (size_t r = 0; r < input.num_rows; ++r) {
-      const Cell* row = input.row(r);
+    for (Part& part : input.parts) {
+      std::vector<int> map;
+      map.reserve(positions.size());
       for (int pos : positions) {
-        out.cells.push_back(pos < 0 ? Cell{}
-                                    : row[static_cast<size_t>(pos)]);
+        map.push_back(pos < 0 ? -1 : part.map[static_cast<size_t>(pos)]);
       }
+      part.map = std::move(map);
     }
-    return out;
+    input.width = static_cast<int>(positions.size());
+    return input;
   }
 
   // Scalar aggregation (no GROUP BY): folds the child's rows into one
@@ -1344,7 +1491,8 @@ class ExecState {
   // floating-point SUMs are bit-identical regardless of
   // ExecOptions::exec_threads.
   Result<Chunk> ExecAggregate(const PlanNode& node, ExplainNode* en) {
-    XS_ASSIGN_OR_RETURN(Chunk input, Exec(*node.children[0], Child(en, 0)));
+    XS_ASSIGN_OR_RETURN(Chunk input,
+                        ExecFlat(*node.children[0], Child(en, 0)));
     const PlanNode& child = *node.children[0];
     struct Spec {
       AggFunc func = AggFunc::kNone;  // kNone = NULL-literal item
@@ -1410,32 +1558,23 @@ class ExecState {
     return out;
   }
 
-  // Runs every branch first, then sizes the output once at their total
-  // and copies each branch in once.
-  Result<Chunk> ExecUnionAll(const PlanNode& node, ExplainNode* en) {
-    std::vector<Chunk> branches;
-    branches.reserve(node.children.size());
-    Chunk out;
+  // Lists the branches' parts in branch order; no cell is copied.
+  Result<RowSet> ExecUnionAll(const PlanNode& node, ExplainNode* en) {
+    RowSet out;
     out.width = static_cast<int>(node.output.size());
     for (size_t i = 0; i < node.children.size(); ++i) {
-      XS_ASSIGN_OR_RETURN(Chunk chunk, Exec(*node.children[i], Child(en, i)));
-      if (!branches.empty() && chunk.width != branches[0].width) {
+      XS_ASSIGN_OR_RETURN(RowSet branch, Exec(*node.children[i], Child(en, i)));
+      if (i > 0 && branch.width != out.width) {
         return Internal("union branches produce different widths");
       }
-      out.width = chunk.width;
-      out.num_rows += chunk.num_rows;
-      branches.push_back(std::move(chunk));
-    }
-    out.ReserveRows(out.num_rows);
-    for (const Chunk& branch : branches) {
-      out.cells.insert(out.cells.end(), branch.cells.begin(),
-                       branch.cells.end());
+      out.width = branch.width;
+      for (Part& part : branch.parts) out.Append(std::move(part));
     }
     return out;
   }
 
   Result<Chunk> ExecSort(const PlanNode& node, ExplainNode* en) {
-    XS_ASSIGN_OR_RETURN(Chunk input, Exec(*node.children[0], Child(en, 0)));
+    XS_ASSIGN_OR_RETURN(RowSet input, Exec(*node.children[0], Child(en, 0)));
     double sort_work = SortCost(static_cast<double>(input.num_rows));
     metrics_->work += sort_work;
     XS_RETURN_IF_ERROR(ChargeGovernor(sort_work));
@@ -1444,50 +1583,32 @@ class ExecState {
     size_t n = input.num_rows;
     // Sort over encoded keys: (class, 64-bit) compares reproduce
     // Value::TotalLess exactly without touching string data. Key encoding
-    // and the output permute below are per-row pure functions into
-    // disjoint slots, so they parallelize without affecting the result;
-    // the stable_sort itself runs on the coordinator (its output is
-    // unique anyway).
+    // and the output write are per-row pure functions into disjoint
+    // ranges, so they run as morsels; the merge runs on the coordinator
+    // (its output is unique anyway).
     std::vector<SortKey> keys(n * nord);
     ParallelFor(num_threads_, static_cast<int>(NumMorsels(n)), [&](int m) {
       size_t lo = static_cast<size_t>(m) * kMorselRows;
       size_t hi = std::min(n, lo + kMorselRows);
-      for (size_t r = lo; r < hi; ++r) {
-        const Cell* row = input.row(r);
+      for (size_t g = lo; g < hi; ++g) {
+        const Part& part = input.PartOf(g);
         for (size_t j = 0; j < nord; ++j) {
-          keys[r * nord + j] =
-              EncodeCellKey(row[static_cast<size_t>(ords[j])], dict_);
+          keys[g * nord + j] = EncodeCellKey(
+              part.At(g - part.first, static_cast<size_t>(ords[j])), dict_);
         }
       }
     });
-    std::vector<int64_t> perm(n);
-    std::iota(perm.begin(), perm.end(), 0);
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&keys, nord](int64_t a, int64_t b) {
-                       size_t ba = static_cast<size_t>(a) * nord;
-                       size_t bb = static_cast<size_t>(b) * nord;
-                       for (size_t j = 0; j < nord; ++j) {
-                         const SortKey& ka = keys[ba + j];
-                         const SortKey& kb = keys[bb + j];
-                         if (ka < kb) return true;
-                         if (kb < ka) return false;
-                       }
-                       return false;
-                     });
-    Chunk out;
-    out.width = input.width;
-    out.num_rows = n;
-    size_t width = static_cast<size_t>(input.width);
-    out.cells.resize(n * width);
-    ParallelFor(num_threads_, static_cast<int>(NumMorsels(n)), [&](int m) {
-      size_t lo = static_cast<size_t>(m) * kMorselRows;
-      size_t hi = std::min(n, lo + kMorselRows);
-      for (size_t r = lo; r < hi; ++r) {
-        const Cell* row = input.row(static_cast<size_t>(perm[r]));
-        std::copy(row, row + width, out.cells.data() + r * width);
-      }
-    });
-    return out;
+    std::vector<size_t> perm =
+        NaturalMergeSort(n, [&keys, nord](size_t a, size_t b) {
+          const SortKey* ka = keys.data() + a * nord;
+          const SortKey* kb = keys.data() + b * nord;
+          for (size_t j = 0; j < nord; ++j) {
+            if (ka[j] < kb[j]) return true;
+            if (kb[j] < ka[j]) return false;
+          }
+          return false;
+        });
+    return WriteRows(input, &perm);
   }
 
   const Database& db_;
@@ -1511,9 +1632,9 @@ bool MirrorsPlan(const ExplainNode& en, const PlanNode& plan) {
   return true;
 }
 
-// The body Run and Count share: executes `plan` to its root chunk and
+// The body Run and Count share: executes `plan` to its root rows and
 // publishes the run's metering.
-Result<Chunk> ExecuteRoot(const Database& db, const PlanNode& plan,
+Result<RowSet> ExecuteRoot(const Database& db, const PlanNode& plan,
                           ExecMetrics* metrics, const ExecOptions& options) {
   if (options.explain != nullptr && !MirrorsPlan(*options.explain, plan)) {
     return InvalidArgument(
@@ -1521,8 +1642,8 @@ Result<Chunk> ExecuteRoot(const Database& db, const PlanNode& plan,
   }
   ExecMetrics local;
   ExecState state(db, &local, options);
-  Result<Chunk> chunk = state.Exec(plan, options.explain);
-  if (chunk.ok()) local.rows_out = static_cast<int64_t>(chunk->num_rows);
+  Result<RowSet> rows = state.Exec(plan, options.explain);
+  if (rows.ok()) local.rows_out = static_cast<int64_t>(rows->num_rows);
   // The per-query view accumulates even on failure — telemetry reflects
   // all work attempted — while the registry's exec.* totals only count
   // completed queries, matching the planner.* convention.
@@ -1534,7 +1655,7 @@ Result<Chunk> ExecuteRoot(const Database& db, const PlanNode& plan,
     metrics->blocks_scanned += local.blocks_scanned;
     metrics->blocks_skipped += local.blocks_skipped;
   }
-  if (!chunk.ok()) return chunk.status();
+  if (!rows.ok()) return rows.status();
   if (options.metrics != nullptr) {
     options.metrics->counter(kMetricExecQueries)->Increment();
     options.metrics->counter(kMetricExecRowsOut)->Add(local.rows_out);
@@ -1549,7 +1670,7 @@ Result<Chunk> ExecuteRoot(const Database& db, const PlanNode& plan,
     options.metrics->counter(kMetricStorageBlocksSkipped)
         ->Add(local.blocks_skipped);
   }
-  return chunk;
+  return rows;
 }
 
 }  // namespace
@@ -1557,27 +1678,27 @@ Result<Chunk> ExecuteRoot(const Database& db, const PlanNode& plan,
 Result<std::vector<Row>> Executor::Run(const PlanNode& plan,
                                        ExecMetrics* metrics,
                                        const ExecOptions& options) {
-  XS_ASSIGN_OR_RETURN(Chunk chunk, ExecuteRoot(db_, plan, metrics, options));
+  XS_ASSIGN_OR_RETURN(RowSet result, ExecuteRoot(db_, plan, metrics, options));
   const StringDictionary& dict = db_.dictionary();
-  size_t width = static_cast<size_t>(chunk.width);
   std::vector<Row> rows;
-  rows.reserve(chunk.num_rows);
-  for (size_t r = 0; r < chunk.num_rows; ++r) {
-    const Cell* cells = chunk.row(r);
-    Row row;
-    row.reserve(width);
-    for (size_t c = 0; c < width; ++c) {
-      row.push_back(CellToValue(cells[c], dict));
+  rows.reserve(result.num_rows);
+  for (const Part& part : result.parts) {
+    for (size_t r = 0; r < part.chunk.num_rows; ++r) {
+      Row row(part.map.size());  // NULLs; padding cells stay as they are
+      for (size_t j = 0; j < part.map.size(); ++j) {
+        Cell c = part.At(r, j);
+        if (c.tag != kTagNull) row[j] = CellToValue(c, dict);
+      }
+      rows.push_back(std::move(row));
     }
-    rows.push_back(std::move(row));
   }
   return rows;
 }
 
 Result<int64_t> Executor::Count(const PlanNode& plan, ExecMetrics* metrics,
                                 const ExecOptions& options) {
-  XS_ASSIGN_OR_RETURN(Chunk chunk, ExecuteRoot(db_, plan, metrics, options));
-  return static_cast<int64_t>(chunk.num_rows);
+  XS_ASSIGN_OR_RETURN(RowSet result, ExecuteRoot(db_, plan, metrics, options));
+  return static_cast<int64_t>(result.num_rows);
 }
 
 }  // namespace xmlshred

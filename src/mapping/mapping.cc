@@ -49,7 +49,8 @@ void CollectLeaves(const SchemaNode* node, const std::string& prefix,
         info.path_name = prefix.empty() ? node->name()
                                         : prefix + "_" + node->name();
         if (node->rep_split_index() > 0) {
-          info.path_name += "_" + std::to_string(node->rep_split_index());
+          info.path_name += '_';
+          info.path_name += std::to_string(node->rep_split_index());
         }
         info.leaf = node;
         info.optional = optional || node->rep_split_index() > 0;

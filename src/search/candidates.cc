@@ -91,7 +91,8 @@ std::string TransformKey(const Transform& t) {
   std::string key = std::string(TransformKindToString(t.kind)) + "|" +
                     std::to_string(t.target) + "|" + t.annotation + "|";
   for (int id : t.option_targets) key += std::to_string(id) + ",";
-  key += "|" + std::to_string(t.target2);
+  key += '|';
+  key += std::to_string(t.target2);
   return key;
 }
 

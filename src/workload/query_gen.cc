@@ -12,7 +12,8 @@ std::string WorkloadName(const WorkloadSpec& spec) {
   std::string name =
       spec.projections == ProjectionClass::kHigh ? "HP" : "LP";
   name += spec.selectivity == SelectivityClass::kHigh ? "-HS" : "-LS";
-  name += "-" + std::to_string(spec.num_queries);
+  name += '-';
+  name += std::to_string(spec.num_queries);
   return name;
 }
 
@@ -192,7 +193,7 @@ Result<XPathWorkload> GenerateWorkload(const SchemaTree& tree,
         } else if (PickEqualityLiteral(*vstats, target, &rng, &literal)) {
           query.has_selection = true;
           query.selection_path = leaf.leaf->name();
-          query.selection_op = "=";
+          query.selection_op = '=';
           query.selection_literal = literal;
           found = true;
         }

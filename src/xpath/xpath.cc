@@ -193,7 +193,7 @@ class XPathParser {
     } else if (Consume('>')) {
       *op = Consume('=') ? ">=" : ">";
     } else if (Consume('=')) {
-      *op = "=";
+      *op = '=';
     } else {
       return InvalidArgument("expected comparison in predicate");
     }

@@ -82,8 +82,10 @@ TEST(MetricsRegistryTest, SnapshotJsonCarriesFullSchema) {
         kMetricExecQueries, kMetricSearchWorkSpent, kMetricExecWork,
         kMetricSearchRoundCandidates, kMetricPlannerEstCost,
         kMetricExecRowsPerQuery}) {
-    EXPECT_NE(json.find("\"" + std::string(name) + "\""), std::string::npos)
-        << name;
+    std::string key = "\"";
+    key += name;
+    key += '"';
+    EXPECT_NE(json.find(key), std::string::npos) << name;
   }
 }
 
