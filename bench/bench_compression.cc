@@ -5,7 +5,8 @@
 // (monotone IDs, 10 distinct titles, 20 distinct years), reports the
 // logical (plain) footprint against the block-encoded storage of record
 // — per-encoding sealed-block census included — and times a full scan
-// plus a zone-map-prunable selective scan over the encoded blocks.
+// plus a zone-map-prunable selective scan over the encoded blocks,
+// through Executor::Count.
 // Deterministic observables (rows, work, pages, blocks) go to the JSON;
 // CI strips the wall_ms_* keys before diffing against the committed
 // bench_results/BENCH_compression.json.
@@ -13,7 +14,6 @@
 // Acceptance guard: the encoded footprint must be at most 60% of the
 // plain footprint (the committed baseline shows ~9%).
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -81,19 +81,12 @@ ScanResult RunScan(const Database& db, const std::string& sql) {
   // number of iterations into them).
   ExecMetrics metrics;
   XS_CHECK_OK(executor.Run(*planned->root, &metrics).status());
-  using clock = std::chrono::steady_clock;
-  auto start = clock::now();
-  int64_t iters = 0;
-  double elapsed_ns = 0;
-  do {
+  // The scan is timed through Count, which builds no result Value, so
+  // the wall time is the scan's own.
+  Timing timing = TimeRepeated([&] {
     ExecMetrics scratch;
-    auto result = executor.Run(*planned->root, &scratch);
-    XS_CHECK_OK(result.status());
-    ++iters;
-    elapsed_ns =
-        std::chrono::duration<double, std::nano>(clock::now() - start)
-            .count();
-  } while (elapsed_ns < 2e8 || iters < 3);
+    XS_CHECK_OK(executor.Count(*planned->root, &scratch).status());
+  });
   ScanResult out;
   out.rows_out = static_cast<double>(metrics.rows_out);
   out.work = metrics.work;
@@ -101,7 +94,7 @@ ScanResult RunScan(const Database& db, const std::string& sql) {
   out.pages_random = metrics.pages_random;
   out.blocks_scanned = static_cast<double>(metrics.blocks_scanned);
   out.blocks_skipped = static_cast<double>(metrics.blocks_skipped);
-  out.wall_ms = elapsed_ns / 1e6 / static_cast<double>(iters);
+  out.wall_ms = timing.ns_per_iter / 1e6;
   return out;
 }
 

@@ -17,7 +17,6 @@
 // per-count wall clock for bench_results/BENCH_parallel_exec.json (CI
 // strips the timing keys before diffing).
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -112,29 +111,8 @@ EngineFixture& Fixture() {
 struct MicroResult {
   std::string name;
   std::vector<std::pair<std::string, double>> values;
-  double wall_ns_per_iter = 0;
-  int64_t iterations = 0;
+  Timing timing;
 };
-
-// Times `body` adaptively: repeats until ~0.2 s elapsed (at least 3
-// iterations) so fast micros get stable averages without slow ones
-// taking seconds.
-template <typename Fn>
-void TimeMicro(MicroResult* out, Fn&& body) {
-  using clock = std::chrono::steady_clock;
-  auto start = clock::now();
-  int64_t iters = 0;
-  double elapsed_ns = 0;
-  do {
-    body();
-    ++iters;
-    elapsed_ns = std::chrono::duration<double, std::nano>(clock::now() -
-                                                          start)
-                     .count();
-  } while (elapsed_ns < 2e8 || iters < 3);
-  out->iterations = iters;
-  out->wall_ns_per_iter = elapsed_ns / static_cast<double>(iters);
-}
 
 MicroResult QueryMicro(const std::string& name, const std::string& sql) {
   EngineFixture& f = Fixture();
@@ -147,7 +125,7 @@ MicroResult QueryMicro(const std::string& name, const std::string& sql) {
                 {"pages_random", metrics.pages_random},
                 {"blocks_scanned", static_cast<double>(metrics.blocks_scanned)},
                 {"blocks_skipped", static_cast<double>(metrics.blocks_skipped)}};
-  TimeMicro(&out, [&] { f.RunSql(sql); });
+  out.timing = TimeRepeated([&] { f.RunSql(sql); });
   return out;
 }
 
@@ -177,7 +155,7 @@ MicroResult QueryOptimizationMicro() {
   auto planned = PlanQuery(*bound, f.catalog);
   XS_CHECK_OK(planned.status());
   out.values = {{"est_cost", planned->root->est_cost}};
-  TimeMicro(&out, [&] {
+  out.timing = TimeRepeated([&] {
     auto p = PlanQuery(*bound, f.catalog);
     XS_CHECK_OK(p.status());
   });
@@ -203,7 +181,7 @@ MicroResult ShreddingMicro() {
         {"dict_entries", static_cast<double>(db.dictionary().size())},
         {"table_bytes", static_cast<double>(db.TotalTableBytes())}};
   }
-  TimeMicro(&out, [&] {
+  out.timing = TimeRepeated([&] {
     Database db;
     auto result = ShredDocument(data.doc, *data.tree, *mapping, &db);
     XS_CHECK_OK(result.status());
@@ -277,7 +255,7 @@ MicroResult StatisticsCollectionMicro() {
                                              TransformKind::kRepetitionSplit,
                                              "author", 5));
   }
-  TimeMicro(&out, [&] {
+  out.timing = TimeRepeated([&] {
     auto stats = XmlStatistics::Collect(data.doc, *data.tree);
     XS_CHECK_OK(stats.status());
   });
@@ -295,7 +273,7 @@ MicroResult StatsDerivationMicro() {
     out.values = {
         {"data_pages", static_cast<double>(catalog.DataPages())}};
   }
-  TimeMicro(&out, [&] {
+  out.timing = TimeRepeated([&] {
     CatalogDesc catalog = stats->DeriveCatalog(*f.data.tree, f.mapping);
     (void)catalog;
   });
@@ -334,20 +312,16 @@ MicroResult SweepMicro(const std::string& name, const std::string& sql) {
     XS_CHECK(m.pages_random == base.pages_random);
     XS_CHECK(m.blocks_scanned == base.blocks_scanned);
     XS_CHECK(m.blocks_skipped == base.blocks_skipped);
-    MicroResult timed;
-    TimeMicro(&timed, [&] { f.RunSqlThreads(sql, threads); });
+    Timing timed = TimeRepeated([&] { f.RunSqlThreads(sql, threads); });
     std::string suffix = "_t" + std::to_string(threads);
-    double wall_ms = timed.wall_ns_per_iter / 1e6;
+    double wall_ms = timed.ns_per_iter / 1e6;
     if (threads == 1) wall_t1 = wall_ms;
     out.values.emplace_back("wall_ms" + suffix, wall_ms);
     out.values.emplace_back("speedup" + suffix,
                             wall_ms > 0 ? wall_t1 / wall_ms : 0);
     out.values.emplace_back("iterations" + suffix,
                             static_cast<double>(timed.iterations));
-    if (threads == 1) {
-      out.wall_ns_per_iter = timed.wall_ns_per_iter;
-      out.iterations = timed.iterations;
-    }
+    if (threads == 1) out.timing = timed;
   }
   return out;
 }
@@ -472,11 +446,11 @@ int Main(int argc, char** argv) {
       }
       return "-";
     };
-    std::string wall =
-        m.wall_ns_per_iter >= 1e6
-            ? FormatDouble(m.wall_ns_per_iter / 1e6, 2) + " ms"
-            : FormatDouble(m.wall_ns_per_iter / 1e3, 1) + " us";
-    PrintRow({m.name, wall, std::to_string(m.iterations), value_of("work"),
+    double ns = m.timing.ns_per_iter;
+    std::string wall = ns >= 1e6 ? FormatDouble(ns / 1e6, 2) + " ms"
+                                 : FormatDouble(ns / 1e3, 1) + " us";
+    PrintRow({m.name, wall, std::to_string(m.timing.iterations),
+              value_of("work"),
               value_of("rows")});
   }
 

@@ -1,5 +1,7 @@
 #include "bench/util.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -163,6 +165,31 @@ Result<SearchResult> RunAlgorithm(const std::string& algorithm,
   if (algorithm == "two-step") return TwoStepSearch(problem);
   if (algorithm == "hybrid") return EvaluateHybridInline(problem);
   return InvalidArgument("unknown algorithm " + algorithm);
+}
+
+Timing TimeRepeated(const std::function<void()>& body) {
+  using clock = std::chrono::steady_clock;
+  constexpr size_t kWindows = 5;
+  Timing out;
+  std::vector<double> means;
+  for (size_t w = 0; w < kWindows; ++w) {
+    auto start = clock::now();
+    int64_t iters = 0;
+    double elapsed_ns = 0;
+    do {
+      body();
+      ++iters;
+      elapsed_ns = std::chrono::duration<double, std::nano>(clock::now() -
+                                                            start)
+                       .count();
+    } while (elapsed_ns < 2e8 || iters < 3);
+    means.push_back(elapsed_ns / static_cast<double>(iters));
+    out.iterations += iters;
+  }
+  std::nth_element(means.begin(), means.begin() + kWindows / 2,
+                   means.end());
+  out.ns_per_iter = means[kWindows / 2];
+  return out;
 }
 
 void PrintTitle(const std::string& title, const std::string& paper_shape) {

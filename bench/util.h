@@ -8,6 +8,8 @@
 #ifndef XMLSHRED_BENCH_UTIL_H_
 #define XMLSHRED_BENCH_UTIL_H_
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,6 +87,18 @@ std::vector<WorkloadSpec> MovieWorkloadSpecs();
 Result<SearchResult> RunAlgorithm(const std::string& algorithm,
                                   const DesignProblem& problem,
                                   const GreedyOptions& greedy_options = {});
+
+// Wall time of one call of a timed body, over all of its windows.
+struct Timing {
+  double ns_per_iter = 0;
+  int64_t iterations = 0;
+};
+
+// Times `body` over five windows, each repeating it until 0.2 s have
+// passed and it has run at least 3 times, and returns the median of the
+// windows' per-call means. One window's mean moves with any busy stretch
+// of a shared host; the median of five does not.
+Timing TimeRepeated(const std::function<void()>& body);
 
 // Printing helpers: fixed-width tab-separated rows.
 void PrintTitle(const std::string& title, const std::string& paper_shape);

@@ -1,6 +1,7 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -49,25 +50,37 @@ struct Part {
     int c = map[j];
     return c < 0 ? Cell{} : chunk.row(r)[static_cast<size_t>(c)];
   }
+
+  // The chunk's rows are read as they are stored.
+  bool IsIdentity() const {
+    if (map.size() != static_cast<size_t>(chunk.width)) return false;
+    for (size_t j = 0; j < map.size(); ++j) {
+      if (map[j] != static_cast<int>(j)) return false;
+    }
+    return true;
+  }
 };
 
 // Rows flowing between operators: the concatenation of one or more
-// parts. Project composes its items into each part's map and UnionAll
-// lists its branches' parts, so neither copies a cell; a mapped row is
-// written once, by the Sort above it (or by a join or aggregate reading
-// it, which no planned query does), or converted to Values by Run.
+// parts, read in `order` when one is set. Heap scans and hash joins hand
+// on their morsel slots as parts, Project composes its items into each
+// part's map, UnionAll lists its branches' parts, and Sort hands on the
+// permutation it sorted, so none of them copies a cell. A result row is
+// written only as Run's Values, or by WriteRows for a join or aggregate
+// whose input is mapped or permuted and for a sorted union branch (no
+// planned query has either).
 struct RowSet {
   int width = 0;
   size_t num_rows = 0;
   std::vector<Part> parts;
+  // Row i is row order[i] of the parts' concatenation; empty = row i.
+  std::vector<size_t> order;
 
   // A chunk as is, through the identity map.
   static RowSet Whole(Chunk chunk) {
     RowSet rows;
     rows.width = chunk.width;
-    std::vector<int> map(static_cast<size_t>(chunk.width));
-    std::iota(map.begin(), map.end(), 0);
-    rows.Append(Part{std::move(chunk), std::move(map)});
+    rows.AppendWhole(std::move(chunk));
     return rows;
   }
 
@@ -77,23 +90,52 @@ struct RowSet {
     parts.push_back(std::move(part));
   }
 
-  // The part holding row g: the last part starting at or before g (empty
-  // parts share their successor's start, so they are passed over). A
-  // branch-free count, as a query's parts are its few union branches.
-  const Part& PartOf(size_t g) const {
-    size_t k = 0;
-    for (size_t i = 1; i < parts.size(); ++i) k += g >= parts[i].first;
-    return parts[k];
+  void AppendWhole(Chunk chunk) {
+    std::vector<int> map(static_cast<size_t>(chunk.width));
+    std::iota(map.begin(), map.end(), 0);
+    Append(Part{std::move(chunk), std::move(map)});
   }
 
-  // The one flat chunk, when the rows are a single chunk read as is.
-  bool IsWhole() const {
-    if (parts.size() != 1) return false;
-    const Part& p = parts[0];
-    for (size_t j = 0; j < p.map.size(); ++j) {
-      if (p.map[j] != static_cast<int>(j)) return false;
+  // The part holding row g of the concatenation: the last part starting
+  // at or before g (empty parts share their successor's start, so they
+  // are passed over). A binary search over the part starts whose steps
+  // select rather than branch, as a permuted set looks up every row.
+  size_t PartIndex(size_t g) const {
+    size_t k = 0;
+    for (size_t step = std::bit_floor(parts.size()); step > 0; step >>= 1) {
+      size_t next = k + step;
+      k = next < parts.size() && parts[next].first <= g ? next : k;
     }
-    return p.map.size() == static_cast<size_t>(p.chunk.width);
+    return k;
+  }
+
+  // Calls f(part, r0, r1) for rows [lo, hi) of the set, in order, in
+  // stretches that are rows [r0, r1) of one part's chunk: whole stretches
+  // of parts walked in order, or single rows located through `order`.
+  template <typename F>
+  void ForEachStretch(size_t lo, size_t hi, const F& f) const {
+    if (!order.empty()) {
+      for (size_t i = lo; i < hi; ++i) {
+        const Part& p = parts[PartIndex(order[i])];
+        f(p, order[i] - p.first, order[i] - p.first + 1);
+      }
+      return;
+    }
+    for (size_t k = lo < hi ? PartIndex(lo) : parts.size(); lo < hi; ++k) {
+      const Part& p = parts[k];
+      size_t end = std::min(hi, p.first + p.chunk.num_rows);
+      if (end > lo) f(p, lo - p.first, end - p.first);
+      lo = end;
+    }
+  }
+
+  // Every row is a row of its part's chunk as stored, in order.
+  bool IsPlain() const {
+    if (!order.empty()) return false;
+    for (const Part& p : parts) {
+      if (!p.IsIdentity()) return false;
+    }
+    return true;
   }
 };
 
@@ -498,31 +540,27 @@ size_t NumMorsels(size_t n) {
 // Per-morsel worker output for row loops. Workers are pure functions of
 // their [m*kMorselRows, (m+1)*kMorselRows) input range: they write cells
 // here and touch no shared state, so the coordinator can replay the
-// interrupt checks in enumeration order afterwards and concatenate the
-// slots in that order.
+// interrupt checks in enumeration order afterwards and hand the slots on
+// in that order.
 struct MorselSlot {
   std::vector<Cell> cells;
   size_t num_rows = 0;
   bool started = false;
 };
 
-// Appends the slots to the empty `out` in morsel order. The first slot's
-// cells are moved rather than copied, and each later slot is released as
-// soon as it is copied, so slots and output overlap as little as possible.
-void ConcatSlots(std::vector<MorselSlot>* slots, Chunk* out) {
-  if (slots->empty()) return;
-  size_t total = 0;
-  for (const MorselSlot& s : *slots) {
-    total += s.cells.size();
-    out->num_rows += s.num_rows;
+// The slots' rows, in morsel order, as the parts of one RowSet read
+// through identity maps; empty slots are dropped and no cell is copied.
+// Slots follow morsels and spans, so the parts are the same at every
+// thread count.
+RowSet SlotsAsParts(int width, std::vector<MorselSlot>* slots) {
+  RowSet out;
+  out.width = width;
+  for (MorselSlot& s : *slots) {
+    if (s.num_rows > 0) {
+      out.AppendWhole(Chunk{width, s.num_rows, std::move(s.cells)});
+    }
   }
-  out->cells = std::move(slots->front().cells);
-  out->cells.reserve(total);
-  for (size_t m = 1; m < slots->size(); ++m) {
-    std::vector<Cell>& cells = (*slots)[m].cells;
-    out->cells.insert(out->cells.end(), cells.begin(), cells.end());
-    std::vector<Cell>().swap(cells);
-  }
+  return out;
 }
 
 // One aggregate accumulator. Aggregation is defined as per-morsel
@@ -685,7 +723,8 @@ class ExecState {
     return en == nullptr ? nullptr : &en->children[i];
   }
 
-  // Operators other than Project and UnionAll write one flat chunk.
+  // Index paths, view scans, index nested-loop joins and aggregates
+  // write one flat chunk.
   static Result<RowSet> Whole(Result<Chunk> chunk) {
     if (!chunk.ok()) return chunk.status();
     return RowSet::Whole(chunk.TakeValue());
@@ -694,7 +733,7 @@ class ExecState {
   Result<RowSet> ExecNode(const PlanNode& node, ExplainNode* en) {
     switch (node.kind) {
       case PlanKind::kHeapScan:
-        return Whole(ExecHeapScan(node));
+        return ExecHeapScan(node);
       case PlanKind::kIndexSeek:
       case PlanKind::kIndexOnlyScan:
         return Whole(ExecIndexPath(node));
@@ -703,7 +742,7 @@ class ExecState {
       case PlanKind::kIndexNlJoin:
         return Whole(ExecIndexNlJoin(node, en));
       case PlanKind::kHashJoin:
-        return Whole(ExecHashJoin(node, en));
+        return ExecHashJoin(node, en);
       case PlanKind::kProject:
         return ExecProject(node, en);
       case PlanKind::kAggregate:
@@ -711,41 +750,35 @@ class ExecState {
       case PlanKind::kUnionAll:
         return ExecUnionAll(node, en);
       case PlanKind::kSort:
-        return Whole(ExecSort(node, en));
+        return ExecSort(node, en);
     }
     return Internal("unknown plan kind");
   }
 
-  // Writes `in`'s rows into one chunk sized once: row r of the chunk is
-  // row order[r] of `in`, or row r when `order` is null. Output morsels
-  // write disjoint rows, so the write runs through ParallelFor.
-  Chunk WriteRows(const RowSet& in, const std::vector<size_t>* order) {
+  // Appends `in`'s rows, in its order, to one chunk reserved once. It
+  // runs on the coordinator: appending leaves no cell to be zeroed first.
+  static Chunk WriteRows(const RowSet& in) {
     Chunk out;
     out.width = in.width;
     out.num_rows = in.num_rows;
-    size_t n = in.num_rows;
-    size_t width = static_cast<size_t>(in.width);
-    out.cells.resize(n * width);
-    ParallelFor(num_threads_, static_cast<int>(NumMorsels(n)), [&](int m) {
-      size_t lo = static_cast<size_t>(m) * kMorselRows;
-      size_t hi = std::min(n, lo + kMorselRows);
-      for (size_t r = lo; r < hi; ++r) {
-        size_t g = order == nullptr ? r : (*order)[r];
-        const Part& part = in.PartOf(g);
-        for (size_t j = 0; j < width; ++j) {
-          out.cells[r * width + j] = part.At(g - part.first, j);
+    out.ReserveRows(in.num_rows);
+    in.ForEachStretch(0, in.num_rows, [&out](const Part& part, size_t r0,
+                                             size_t r1) {
+      for (size_t r = r0; r < r1; ++r) {
+        for (size_t j = 0; j < part.map.size(); ++j) {
+          out.cells.push_back(part.At(r, j));
         }
       }
     });
     return out;
   }
 
-  // Input of an operator that reads flat rows (joins, aggregates): the
-  // child's chunk as is, or its mapped rows written once.
-  Result<Chunk> ExecFlat(const PlanNode& node, ExplainNode* en) {
+  // Input of an operator that reads stored rows (joins, aggregates): the
+  // child's rows as they are when they are plain, or else written once.
+  Result<RowSet> ExecPlain(const PlanNode& node, ExplainNode* en) {
     XS_ASSIGN_OR_RETURN(RowSet rows, Exec(node, en));
-    if (rows.IsWhole()) return std::move(rows.parts[0].chunk);
-    return WriteRows(rows, nullptr);
+    if (rows.IsPlain()) return rows;
+    return RowSet::Whole(WriteRows(rows));
   }
 
   // Metering records into `metrics_` first (telemetry reflects all work
@@ -957,7 +990,7 @@ class ExecState {
     return preds;
   }
 
-  Result<Chunk> ExecHeapScan(const PlanNode& node) {
+  Result<RowSet> ExecHeapScan(const PlanNode& node) {
     const Table* table = db_.FindTable(node.object_name);
     if (table == nullptr) return NotFound("table " + node.object_name);
     // The zone probes that decide which blocks to skip derive from the
@@ -1036,10 +1069,7 @@ class ExecState {
         },
         StopPredicate());
     XS_RETURN_IF_ERROR(ReplaySpanChecks(layout.spans, slots));
-    Chunk out;
-    out.width = static_cast<int>(node.output.size());
-    ConcatSlots(&slots, &out);
-    return out;
+    return SlotsAsParts(static_cast<int>(node.output.size()), &slots);
   }
 
   Result<Chunk> ExecIndexPath(const PlanNode& node) {
@@ -1260,8 +1290,8 @@ class ExecState {
   }
 
   Result<Chunk> ExecIndexNlJoin(const PlanNode& node, ExplainNode* en) {
-    XS_ASSIGN_OR_RETURN(Chunk outer,
-                        ExecFlat(*node.children[0], Child(en, 0)));
+    XS_ASSIGN_OR_RETURN(RowSet outer,
+                        ExecPlain(*node.children[0], Child(en, 0)));
     const BTreeIndex* index = db_.FindIndex(node.object_name);
     if (index == nullptr) return NotFound("index " + node.object_name);
     const Table* table = db_.FindTable(node.base_table);
@@ -1302,59 +1332,64 @@ class ExecState {
     int64_t vis_bound = VisibleRowBound(def.table);
     size_t n = static_cast<size_t>(index->entry_count());
     std::vector<SortKey> prefix(1);
-    for (size_t r = 0; r < outer.num_rows; ++r) {
-      if (r % kScanBatchRows == 0) {
-        XS_RETURN_IF_ERROR(CheckBatchInterrupts());
-      }
-      const Cell* orow = outer.row(r);
-      Cell key = orow[static_cast<size_t>(outer_pos)];
-      if (key.tag == kTagNull) continue;
-      prefix[0] = EncodeCellKey(key, dict_);
-      size_t e0 = index->LowerBound(prefix);
-      size_t e1 = e0;
-      while (e1 < n && index->entry_key(e1, 0) == prefix[0]) ++e1;
-      XS_RETURN_IF_ERROR(ChargeRandPages(static_cast<double>(
-          index->ProbePages(static_cast<int64_t>(e1 - e0)))));
-
-      if (!node.inner_fetch) {
-        // Walk the equal range of entries for covering access.
-        for (size_t e = e0; e < e1; ++e) {
-          if (index->entry_row_id(e) >= vis_bound) continue;
-          bool pass = true;
-          for (const CompiledPred& p : preds) {
-            if (!EvalCompiledCell(p, index->entry_cell(e, p.pos), dict_)) {
-              pass = false;
-              break;
-            }
-          }
-          if (!pass) continue;
-          out.cells.insert(out.cells.end(), orow, orow + outer.width);
-          for (int pos : entry_pos) {
-            out.cells.push_back(index->entry_cell(e, pos));
-          }
-          ++out.num_rows;
+    // The outer rows are plain: read each part's chunk in order, counting
+    // rows for the batch interrupt checks.
+    size_t r = 0;
+    for (const Part& part : outer.parts) {
+      for (size_t pr = 0; pr < part.chunk.num_rows; ++pr, ++r) {
+        if (r % kScanBatchRows == 0) {
+          XS_RETURN_IF_ERROR(CheckBatchInterrupts());
         }
-      } else {
-        for (size_t e = e0; e < e1; ++e) {
-          if (index->entry_row_id(e) >= vis_bound) continue;
-          total_fetches += 1.0;
-          size_t rid = static_cast<size_t>(index->entry_row_id(e));
-          bool pass = true;
-          for (const CompiledPred& p : preds) {
-            if (!EvalCompiledCell(
-                    p, inner_readers[static_cast<size_t>(p.pos)].At(rid),
-                    dict_)) {
-              pass = false;
-              break;
+        const Cell* orow = part.chunk.row(pr);
+        Cell key = orow[static_cast<size_t>(outer_pos)];
+        if (key.tag == kTagNull) continue;
+        prefix[0] = EncodeCellKey(key, dict_);
+        size_t e0 = index->LowerBound(prefix);
+        size_t e1 = e0;
+        while (e1 < n && index->entry_key(e1, 0) == prefix[0]) ++e1;
+        XS_RETURN_IF_ERROR(ChargeRandPages(static_cast<double>(
+            index->ProbePages(static_cast<int64_t>(e1 - e0)))));
+
+        if (!node.inner_fetch) {
+          // Walk the equal range of entries for covering access.
+          for (size_t e = e0; e < e1; ++e) {
+            if (index->entry_row_id(e) >= vis_bound) continue;
+            bool pass = true;
+            for (const CompiledPred& p : preds) {
+              if (!EvalCompiledCell(p, index->entry_cell(e, p.pos), dict_)) {
+                pass = false;
+                break;
+              }
             }
+            if (!pass) continue;
+            out.cells.insert(out.cells.end(), orow, orow + outer.width);
+            for (int pos : entry_pos) {
+              out.cells.push_back(index->entry_cell(e, pos));
+            }
+            ++out.num_rows;
           }
-          if (!pass) continue;
-          out.cells.insert(out.cells.end(), orow, orow + outer.width);
-          for (const ColumnSlot& slot : inner_slots) {
-            out.cells.push_back(
-                inner_readers[static_cast<size_t>(slot.column)].At(rid));
+        } else {
+          for (size_t e = e0; e < e1; ++e) {
+            if (index->entry_row_id(e) >= vis_bound) continue;
+            total_fetches += 1.0;
+            size_t rid = static_cast<size_t>(index->entry_row_id(e));
+            bool pass = true;
+            for (const CompiledPred& p : preds) {
+              if (!EvalCompiledCell(
+                      p, inner_readers[static_cast<size_t>(p.pos)].At(rid),
+                      dict_)) {
+                pass = false;
+                break;
+              }
+            }
+            if (!pass) continue;
+            out.cells.insert(out.cells.end(), orow, orow + outer.width);
+            for (const ColumnSlot& slot : inner_slots) {
+              out.cells.push_back(
+                  inner_readers[static_cast<size_t>(slot.column)].At(rid));
+            }
+            ++out.num_rows;
           }
-          ++out.num_rows;
         }
       }
     }
@@ -1367,11 +1402,11 @@ class ExecState {
     return out;
   }
 
-  Result<Chunk> ExecHashJoin(const PlanNode& node, ExplainNode* en) {
-    XS_ASSIGN_OR_RETURN(Chunk probe,
-                        ExecFlat(*node.children[0], Child(en, 0)));
-    XS_ASSIGN_OR_RETURN(Chunk build,
-                        ExecFlat(*node.children[1], Child(en, 1)));
+  Result<RowSet> ExecHashJoin(const PlanNode& node, ExplainNode* en) {
+    XS_ASSIGN_OR_RETURN(RowSet probe,
+                        ExecPlain(*node.children[0], Child(en, 0)));
+    XS_ASSIGN_OR_RETURN(RowSet build,
+                        ExecPlain(*node.children[1], Child(en, 1)));
     int probe_pos = node.children[0]->FindSlot(node.probe_key);
     int build_pos = node.children[1]->FindSlot(node.build_key);
     if (probe_pos < 0 || build_pos < 0) {
@@ -1390,12 +1425,14 @@ class ExecState {
     // coordinator (it is a sequential dependence and fixes the
     // deterministic ascending chain order).
     ParallelFor(num_threads_, static_cast<int>(NumMorsels(bn)), [&](int m) {
-      size_t lo = static_cast<size_t>(m) * kMorselRows;
-      size_t hi = std::min(bn, lo + kMorselRows);
-      for (size_t i = lo; i < hi; ++i) {
-        Cell c = build.row(i)[static_cast<size_t>(build_pos)];
-        NormalizeJoinKey(c, &bcls[i], &bkey[i]);
-      }
+      size_t i = static_cast<size_t>(m) * kMorselRows;
+      build.ForEachStretch(i, std::min(bn, i + kMorselRows),
+                           [&](const Part& part, size_t r0, size_t r1) {
+        for (size_t r = r0; r < r1; ++r, ++i) {
+          Cell c = part.chunk.row(r)[static_cast<size_t>(build_pos)];
+          NormalizeJoinKey(c, &bcls[i], &bkey[i]);
+        }
+      });
     });
     size_t nbuckets = 16;
     while (nbuckets < bn) nbuckets <<= 1;
@@ -1412,11 +1449,10 @@ class ExecState {
 
     // Probes one row against the (now frozen) table, appending matches in
     // ascending build order. Each worker probes a disjoint probe-row range
-    // into its own slot, so concatenating the slots in morsel order gives
-    // the probe-major, build-ascending match order at any thread count.
-    auto probe_row = [&](size_t r, std::vector<Cell>* cells,
+    // into its own slot, so the slots in morsel order hold the
+    // probe-major, build-ascending match order at any thread count.
+    auto probe_row = [&](const Cell* prow, std::vector<Cell>* cells,
                          size_t* rows) {
-      const Cell* prow = probe.row(r);
       uint8_t cls = 0;
       uint64_t bits = 0;
       if (!NormalizeJoinKey(prow[static_cast<size_t>(probe_pos)], &cls,
@@ -1428,7 +1464,10 @@ class ExecState {
         size_t bi = static_cast<size_t>(i);
         if (bcls[bi] != cls || bkey[bi] != bits) continue;
         cells->insert(cells->end(), prow, prow + probe.width);
-        const Cell* brow = build.row(bi);
+        // A match searches for its build row's part: a pointer kept per
+        // build row costs more wherever matches are fewer than build rows.
+        const Part& part = build.parts[build.PartIndex(bi)];
+        const Cell* brow = part.chunk.row(bi - part.first);
         cells->insert(cells->end(), brow, brow + build.width);
         ++*rows;
       }
@@ -1443,15 +1482,16 @@ class ExecState {
           s.started = true;
           size_t lo = static_cast<size_t>(m) * kMorselRows;
           size_t hi = std::min(pn, lo + kMorselRows);
-          for (size_t r = lo; r < hi; ++r) {
-            probe_row(r, &s.cells, &s.num_rows);
-          }
+          probe.ForEachStretch(lo, hi, [&](const Part& part, size_t r0,
+                                           size_t r1) {
+            for (size_t r = r0; r < r1; ++r) {
+              probe_row(part.chunk.row(r), &s.cells, &s.num_rows);
+            }
+          });
         },
         StopPredicate());
     XS_RETURN_IF_ERROR(ReplayScanChecks(pn, slots));
-    Chunk out;
-    out.width = probe.width + build.width;
-    ConcatSlots(&slots, &out);
+    RowSet out = SlotsAsParts(probe.width + build.width, &slots);
     XS_RETURN_IF_ERROR(ChargeHashRows(static_cast<double>(probe.num_rows)));
     XS_RETURN_IF_ERROR(ChargeCpuRows(static_cast<double>(out.num_rows)));
     return out;
@@ -1491,8 +1531,8 @@ class ExecState {
   // floating-point SUMs are bit-identical regardless of
   // ExecOptions::exec_threads.
   Result<Chunk> ExecAggregate(const PlanNode& node, ExplainNode* en) {
-    XS_ASSIGN_OR_RETURN(Chunk input,
-                        ExecFlat(*node.children[0], Child(en, 0)));
+    XS_ASSIGN_OR_RETURN(RowSet input,
+                        ExecPlain(*node.children[0], Child(en, 0)));
     const PlanNode& child = *node.children[0];
     struct Spec {
       AggFunc func = AggFunc::kNone;  // kNone = NULL-literal item
@@ -1526,16 +1566,19 @@ class ExecState {
           AggAcc* acc = partials.data() + static_cast<size_t>(m) * nspec;
           size_t lo = static_cast<size_t>(m) * kMorselRows;
           size_t hi = std::min(n, lo + kMorselRows);
-          for (size_t r = lo; r < hi; ++r) {
-            const Cell* row = input.row(r);
-            for (size_t j = 0; j < nspec; ++j) {
-              if (specs[j].func == AggFunc::kNone) continue;
-              Cell c = specs[j].pos < 0
-                           ? Cell{}
-                           : row[static_cast<size_t>(specs[j].pos)];
-              UpdateAgg(specs[j].func, &acc[j], c, dict_);
+          input.ForEachStretch(lo, hi, [&](const Part& part, size_t r0,
+                                           size_t r1) {
+            for (size_t r = r0; r < r1; ++r) {
+              const Cell* row = part.chunk.row(r);
+              for (size_t j = 0; j < nspec; ++j) {
+                if (specs[j].func == AggFunc::kNone) continue;
+                Cell c = specs[j].pos < 0
+                             ? Cell{}
+                             : row[static_cast<size_t>(specs[j].pos)];
+                UpdateAgg(specs[j].func, &acc[j], c, dict_);
+              }
             }
-          }
+          });
         },
         StopPredicate());
     XS_RETURN_IF_ERROR(ReplayScanChecks(n, slots));
@@ -1567,13 +1610,18 @@ class ExecState {
       if (i > 0 && branch.width != out.width) {
         return Internal("union branches produce different widths");
       }
+      // A sorted branch (no planned query has one: the planner puts the
+      // Sort at the root) is written in its order first.
+      if (!branch.order.empty()) branch = RowSet::Whole(WriteRows(branch));
       out.width = branch.width;
       for (Part& part : branch.parts) out.Append(std::move(part));
     }
     return out;
   }
 
-  Result<Chunk> ExecSort(const PlanNode& node, ExplainNode* en) {
+  // Sorts the input's rows and hands them on with the permutation; no
+  // cell is copied.
+  Result<RowSet> ExecSort(const PlanNode& node, ExplainNode* en) {
     XS_ASSIGN_OR_RETURN(RowSet input, Exec(*node.children[0], Child(en, 0)));
     double sort_work = SortCost(static_cast<double>(input.num_rows));
     metrics_->work += sort_work;
@@ -1583,20 +1631,23 @@ class ExecState {
     size_t n = input.num_rows;
     // Sort over encoded keys: (class, 64-bit) compares reproduce
     // Value::TotalLess exactly without touching string data. Key encoding
-    // and the output write are per-row pure functions into disjoint
-    // ranges, so they run as morsels; the merge runs on the coordinator
-    // (its output is unique anyway).
+    // is a per-row pure function into disjoint ranges, so it runs as
+    // morsels, each walking the parts in order; the merge runs on the
+    // coordinator (its output is unique anyway).
     std::vector<SortKey> keys(n * nord);
     ParallelFor(num_threads_, static_cast<int>(NumMorsels(n)), [&](int m) {
       size_t lo = static_cast<size_t>(m) * kMorselRows;
       size_t hi = std::min(n, lo + kMorselRows);
-      for (size_t g = lo; g < hi; ++g) {
-        const Part& part = input.PartOf(g);
-        for (size_t j = 0; j < nord; ++j) {
-          keys[g * nord + j] = EncodeCellKey(
-              part.At(g - part.first, static_cast<size_t>(ords[j])), dict_);
+      SortKey* key = keys.data() + lo * nord;
+      input.ForEachStretch(lo, hi, [&](const Part& part, size_t r0,
+                                       size_t r1) {
+        for (size_t r = r0; r < r1; ++r) {
+          for (int ord : ords) {
+            *key++ = EncodeCellKey(part.At(r, static_cast<size_t>(ord)),
+                                   dict_);
+          }
         }
-      }
+      });
     });
     std::vector<size_t> perm =
         NaturalMergeSort(n, [&keys, nord](size_t a, size_t b) {
@@ -1608,7 +1659,12 @@ class ExecState {
           }
           return false;
         });
-    return WriteRows(input, &perm);
+    // perm lists positions in the input's order; name the rows they hold.
+    if (!input.order.empty()) {
+      for (size_t& i : perm) i = input.order[i];
+    }
+    input.order = std::move(perm);
+    return input;
   }
 
   const Database& db_;
@@ -1682,8 +1738,9 @@ Result<std::vector<Row>> Executor::Run(const PlanNode& plan,
   const StringDictionary& dict = db_.dictionary();
   std::vector<Row> rows;
   rows.reserve(result.num_rows);
-  for (const Part& part : result.parts) {
-    for (size_t r = 0; r < part.chunk.num_rows; ++r) {
+  result.ForEachStretch(0, result.num_rows, [&](const Part& part, size_t r0,
+                                                size_t r1) {
+    for (size_t r = r0; r < r1; ++r) {
       Row row(part.map.size());  // NULLs; padding cells stay as they are
       for (size_t j = 0; j < part.map.size(); ++j) {
         Cell c = part.At(r, j);
@@ -1691,7 +1748,7 @@ Result<std::vector<Row>> Executor::Run(const PlanNode& plan,
       }
       rows.push_back(std::move(row));
     }
-  }
+  });
   return rows;
 }
 
