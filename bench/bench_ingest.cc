@@ -1,20 +1,18 @@
 // Streaming bulk-ingest bench (DESIGN.md §17): DOM vs one-pass SAX
-// shredding, and the parallel-ingest thread sweep.
+// shredding.
 //
 // Generates the DBLP document at bench scale, serializes it once, and
-// ingests it three ways: the DOM path (ParseXml + ShredDocument), the
-// streaming path at one thread, and the streaming path at each count in
-// --threads (default 1,2,4,8). Every run lands in a fresh Database and
+// ingests it two ways: the DOM path (ParseXml + ShredDocument) and the
+// streaming path (ShredStream). Each run lands in a fresh Database and
 // is hashed with the same full-state digest the differential tests use
-// (tests/streaming_shred_test.cc); the bench XS_CHECKs all digests
-// equal, so a run doubles as an end-to-end bit-identity check. After
-// each streaming ingest the largest relation gets a B-tree built (one
-// pass over its columns, one sort) with its entry count pinned across
-// the sweep.
+// (tests/streaming_shred_test.cc); the bench XS_CHECKs the digests
+// equal, so a run doubles as an end-to-end bit-identity check. After the
+// streaming ingest the largest relation gets a B-tree built (one pass
+// over its columns, one sort).
 //
 // Deterministic observables (rows, elements, batches, peak batch bytes,
-// partitions, transient peak, digest) are machine-independent at a given
-// scale and land in the JSON export; wall_ms_* keys are stripped by
+// transient peak, index entries, digest) are machine-independent at a
+// given scale and land in the JSON export; wall_ms_* keys are stripped by
 // tools/strip_timing_keys.py before CI diffs against the committed
 // bench_results/BENCH_ingest.json.
 
@@ -22,7 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench/util.h"
 #include "common/logging.h"
@@ -134,60 +131,26 @@ std::string LargestTable(const Database& db) {
   return best;
 }
 
-struct StreamRun {
-  int threads = 0;
-  ShredStats stats;
-  uint64_t digest = 0;
-  int64_t index_entries = 0;
-  double wall_ms_ingest = 0;
-  double wall_ms_index = 0;
-};
-
-std::vector<int> ParseThreadList(const std::string& arg) {
-  std::vector<int> out;
-  int current = 0;
-  bool have = false;
-  for (char ch : arg) {
-    if (ch >= '0' && ch <= '9') {
-      current = current * 10 + (ch - '0');
-      have = true;
-    } else if (ch == ',') {
-      if (have) out.push_back(current);
-      current = 0;
-      have = false;
-    } else {
-      return {};
-    }
-  }
-  if (have) out.push_back(current);
-  return out;
-}
-
 int Main(int argc, char** argv) {
   const BenchFlags flags = ExtractBenchFlags(&argc, argv);
-  std::string threads_arg = ExtractStringFlag(&argc, argv, "--threads");
-  if (threads_arg.empty()) threads_arg = "1,2,4,8";
-  const std::vector<int> thread_counts = ParseThreadList(threads_arg);
-  // --mode sweep (default): DOM baseline + streaming thread sweep.
+  // --mode both (default): the DOM and the streaming ingest, compared.
   // --mode dom / --mode stream: one ingest, then --export-out dumps the
   // canonical database state so CI can byte-compare the two paths.
   std::string mode = ExtractStringFlag(&argc, argv, "--mode");
-  if (mode.empty()) mode = "sweep";
+  if (mode.empty()) mode = "both";
   const std::string export_out =
       ExtractStringFlag(&argc, argv, "--export-out");
-  if (argc > 1 || thread_counts.empty() ||
-      (mode != "sweep" && mode != "dom" && mode != "stream")) {
+  if (argc > 1 || (mode != "both" && mode != "dom" && mode != "stream")) {
     std::fprintf(stderr,
                  "usage: %s [--json out.json] [--metrics-out out.json] "
-                 "[--threads 1,2,4,8] [--mode sweep|dom|stream] "
-                 "[--export-out dump.txt]\n",
+                 "[--mode both|dom|stream] [--export-out dump.txt]\n",
                  argv[0]);
     return 2;
   }
 
-  PrintTitle("Streaming bulk ingest: DOM vs SAX, parallel thread sweep",
-             "one-pass ingest bit-identical to the DOM path at every "
-             "thread count; flat transient memory");
+  PrintTitle("Streaming bulk ingest: DOM vs SAX",
+             "one-pass ingest bit-identical to the DOM path; flat "
+             "transient memory");
 
   DblpConfig config;
   config.num_inproceedings =
@@ -198,7 +161,7 @@ int Main(int argc, char** argv) {
   auto mapping = Mapping::Build(*data.tree);
   XS_CHECK_OK(mapping.status());
 
-  if (mode != "sweep") {
+  if (mode != "both") {
     Database db;
     if (mode == "dom") {
       auto doc = ParseXml(xml);
@@ -206,7 +169,6 @@ int Main(int argc, char** argv) {
       XS_CHECK_OK(ShredDocument(*doc, *data.tree, *mapping, &db).status());
     } else {
       StreamShredOptions options;
-      options.threads = thread_counts[0];
       options.metrics = &GlobalMetrics();
       XS_CHECK_OK(
           ShredStream(xml, *data.tree, *mapping, &db, options).status());
@@ -233,56 +195,37 @@ int Main(int argc, char** argv) {
     dom_digest = DatabaseDigest(db);
   }
 
-  PrintRow({"path", "threads", "wall ms", "rows", "batches", "partitions",
-            "transient KB"});
-  PrintRow({"dom", "-", FormatDouble(wall_ms_dom, 1),
-            std::to_string(dom_stats.rows), "-", "-", "-"});
+  PrintRow({"path", "wall ms", "rows", "batches", "transient KB"});
+  PrintRow({"dom", FormatDouble(wall_ms_dom, 1),
+            std::to_string(dom_stats.rows), "-", "-"});
 
-  std::vector<StreamRun> runs;
-  for (int threads : thread_counts) {
-    Database db;
-    StreamShredOptions options;
-    options.threads = threads;
-    options.metrics = &GlobalMetrics();
-    auto start = std::chrono::steady_clock::now();
-    auto stats = ShredStream(xml, *data.tree, *mapping, &db, options);
-    XS_CHECK_OK(stats.status());
-    StreamRun run;
-    run.wall_ms_ingest = MillisSince(start);
-    run.threads = threads;
-    run.stats = *stats;
-    run.digest = DatabaseDigest(db);
-    XS_CHECK(run.digest == dom_digest);
-    XS_CHECK(run.stats.rows == dom_stats.rows);
-    XS_CHECK(run.stats.elements == dom_stats.elements);
+  Database db;
+  StreamShredOptions options;
+  options.metrics = &GlobalMetrics();
+  auto start = std::chrono::steady_clock::now();
+  auto stream = ShredStream(xml, *data.tree, *mapping, &db, options);
+  XS_CHECK_OK(stream.status());
+  const double wall_ms_ingest = MillisSince(start);
+  const ShredStats& stats = *stream;
+  XS_CHECK(DatabaseDigest(db) == dom_digest);
+  XS_CHECK(stats.rows == dom_stats.rows);
+  XS_CHECK(stats.elements == dom_stats.elements);
 
-    // Index build on the largest relation.
-    IndexDef def;
-    def.name = "ix_bench_ingest";
-    def.table = LargestTable(db);
-    const Table* table = db.FindTable(def.table);
-    def.key_columns = {table->schema().num_columns() - 1};
-    def.included_columns = {0};
-    auto index_start = std::chrono::steady_clock::now();
-    XS_CHECK_OK(db.CreateIndex(def));
-    run.wall_ms_index = MillisSince(index_start);
-    run.index_entries = db.FindIndex(def.name)->entry_count();
-    runs.push_back(run);
+  // Index build on the largest relation.
+  IndexDef def;
+  def.name = "ix_bench_ingest";
+  def.table = LargestTable(db);
+  const Table* table = db.FindTable(def.table);
+  def.key_columns = {table->schema().num_columns() - 1};
+  def.included_columns = {0};
+  auto index_start = std::chrono::steady_clock::now();
+  XS_CHECK_OK(db.CreateIndex(def));
+  const double wall_ms_index = MillisSince(index_start);
+  const int64_t index_entries = db.FindIndex(def.name)->entry_count();
 
-    PrintRow({"stream", std::to_string(threads),
-              FormatDouble(run.wall_ms_ingest, 1),
-              std::to_string(run.stats.rows),
-              std::to_string(run.stats.batches_emitted),
-              std::to_string(run.stats.partitions),
-              std::to_string(run.stats.transient_peak_bytes / 1024)});
-  }
-
-  // Thread-invariant observables stay pinned across the sweep.
-  for (const StreamRun& run : runs) {
-    XS_CHECK(run.stats.batches_emitted == runs[0].stats.batches_emitted);
-    XS_CHECK(run.stats.peak_batch_bytes == runs[0].stats.peak_batch_bytes);
-    XS_CHECK(run.index_entries == runs[0].index_entries);
-  }
+  PrintRow({"stream", FormatDouble(wall_ms_ingest, 1),
+            std::to_string(stats.rows), std::to_string(stats.batches_emitted),
+            std::to_string(stats.transient_peak_bytes / 1024)});
 
   if (!flags.json_path.empty()) {
     std::FILE* f = std::fopen(flags.json_path.c_str(), "w");
@@ -302,26 +245,18 @@ int Main(int argc, char** argv) {
                  static_cast<long long>(dom_stats.rows));
     std::fprintf(f, "    \"elements\": %lld\n",
                  static_cast<long long>(dom_stats.elements));
-    std::fprintf(f, "  },\n  \"stream\": [\n");
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const StreamRun& run = runs[i];
-      std::fprintf(f, "    {\n      \"threads\": %d,\n", run.threads);
-      std::fprintf(f, "      \"wall_ms_ingest\": %.3f,\n",
-                   run.wall_ms_ingest);
-      std::fprintf(f, "      \"wall_ms_index\": %.3f,\n", run.wall_ms_index);
-      std::fprintf(f, "      \"batches_emitted\": %lld,\n",
-                   static_cast<long long>(run.stats.batches_emitted));
-      std::fprintf(f, "      \"peak_batch_bytes\": %lld,\n",
-                   static_cast<long long>(run.stats.peak_batch_bytes));
-      std::fprintf(f, "      \"partitions\": %lld,\n",
-                   static_cast<long long>(run.stats.partitions));
-      std::fprintf(f, "      \"transient_peak_bytes\": %lld,\n",
-                   static_cast<long long>(run.stats.transient_peak_bytes));
-      std::fprintf(f, "      \"index_entries\": %lld\n",
-                   static_cast<long long>(run.index_entries));
-      std::fprintf(f, "    }%s\n", i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "  },\n  \"stream\": {\n");
+    std::fprintf(f, "    \"wall_ms_ingest\": %.3f,\n", wall_ms_ingest);
+    std::fprintf(f, "    \"wall_ms_index\": %.3f,\n", wall_ms_index);
+    std::fprintf(f, "    \"batches_emitted\": %lld,\n",
+                 static_cast<long long>(stats.batches_emitted));
+    std::fprintf(f, "    \"peak_batch_bytes\": %lld,\n",
+                 static_cast<long long>(stats.peak_batch_bytes));
+    std::fprintf(f, "    \"transient_peak_bytes\": %lld,\n",
+                 static_cast<long long>(stats.transient_peak_bytes));
+    std::fprintf(f, "    \"index_entries\": %lld\n",
+                 static_cast<long long>(index_entries));
+    std::fprintf(f, "  }\n}\n");
     std::fclose(f);
   }
   WriteMetricsOut(flags.metrics_out);

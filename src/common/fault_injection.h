@@ -64,10 +64,9 @@ inline constexpr const char* kFaultSiteServeMidQuery = "serve.mid_query";
 inline constexpr const char* kFaultSiteExecMorsel = "exec.morsel";
 // Shredder batch boundary (src/mapping/stream_shredder.cc, ShredStream
 // and ShredDocument alike): checked once per columnar batch flushed into
-// storage, in deterministic flush order at every --ingest-threads count,
-// so an armed nth-hit fault interrupts the same batch regardless of
-// parallelism. The shredder rolls back all tables and dictionary entries
-// on injection (all-or-nothing).
+// storage, in deterministic flush order, so an armed nth-hit fault
+// interrupts the same batch on both paths. The shredder rolls back all
+// tables and dictionary entries on injection (all-or-nothing).
 inline constexpr const char* kFaultSiteShredStream = "shred.stream";
 
 class FaultInjector {

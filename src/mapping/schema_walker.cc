@@ -2,110 +2,33 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string_view>
 #include <vector>
 
 namespace xmlshred {
 
-Status SchemaWalker::WalkRoot(const XmlElement* root, const SchemaTree& tree) {
-  if (root == nullptr) return InvalidArgument("empty document");
-  XS_RETURN_IF_ERROR(CheckRootTag(root->tag(), tree));
-  return WalkTag(root, tree.root());
-}
+namespace {
 
-Status SchemaWalker::WalkTag(const XmlElement* element,
-                             const SchemaNode* node) {
-  XS_RETURN_IF_ERROR(sink_->EnterTag(*element, node));
-  if (IsLeafTag(node)) {
-    XS_RETURN_IF_ERROR(sink_->LeafText(node, element->text()));
-  } else {
-    size_t cursor = 0;
-    XS_RETURN_IF_ERROR(MatchContent(node->child(0), element, &cursor));
-    if (cursor != element->children().size()) {
-      return InvalidArgument("unconsumed children under <" + element->tag() +
-                             ">");
-    }
-  }
-  return sink_->ExitTag(node);
-}
+// The children of a built element.
+class ElementChildren : public ChildCursor {
+ public:
+  explicit ElementChildren(const XmlElement& element)
+      : kids_(element.children()) {}
 
-Status SchemaWalker::MatchContent(const SchemaNode* node,
-                                  const XmlElement* element, size_t* cursor) {
-  const auto& kids = element->children();
-  auto next_starts = [&](const SchemaNode* particle) {
-    return *cursor < kids.size() &&
-           CanStartWith(particle, kids[*cursor]->tag());
-  };
-  switch (node->kind()) {
-    case SchemaNodeKind::kSequence:
-      for (const auto& child : node->children()) {
-        XS_RETURN_IF_ERROR(MatchContent(child.get(), element, cursor));
-      }
-      return Status::OK();
-    case SchemaNodeKind::kTag:
-      if (*cursor >= kids.size() || kids[*cursor]->tag() != node->name()) {
-        return InvalidArgument("expected <" + node->name() + "> under <" +
-                               element->tag() + ">");
-      }
-      return WalkTag(kids[(*cursor)++].get(), node);
-    case SchemaNodeKind::kOption:
-      return next_starts(node->child(0))
-                 ? MatchContent(node->child(0), element, cursor)
-                 : Status::OK();
-    case SchemaNodeKind::kRepetition: {
-      int64_t occurrences = 0;
-      while (next_starts(node->child(0))) {
-        XS_RETURN_IF_ERROR(MatchContent(node->child(0), element, cursor));
-        ++occurrences;
-      }
-      sink_->RepetitionVisit(node, occurrences);
-      return Status::OK();
-    }
-    case SchemaNodeKind::kChoice:
-      return MatchChoice(node, element, cursor);
-    case SchemaNodeKind::kSimpleType:
-      return Internal("simple type in content position");
+  Result<const XmlElement*> Peek() override {
+    if (next_ == kids_.size()) return nullptr;
+    return kids_[next_].get();
   }
-  return Internal("unhandled schema node kind");
-}
+  void Advance() override { ++next_; }
 
-Status SchemaWalker::MatchChoice(const SchemaNode* node,
-                                 const XmlElement* element, size_t* cursor) {
-  const auto& kids = element->children();
-  if (node->is_variant_choice()) {
-    // A variant choice stands where a context tag stood: the next child
-    // is a context instance, routed by its children's presence.
-    if (*cursor >= kids.size()) {
-      return InvalidArgument("missing variant instance under <" +
-                             element->tag() + ">");
-    }
-    const XmlElement* instance = kids[*cursor].get();
-    const SchemaNode* variant = MatchVariant(node, *instance);
-    if (variant == nullptr) {
-      return InvalidArgument("no variant accepts <" + instance->tag() + ">");
-    }
-    ++*cursor;
-    return WalkTag(instance, variant);
-  }
-  if (*cursor >= kids.size()) {
-    return InvalidArgument("missing choice content under <" + element->tag() +
-                           ">");
-  }
-  const std::string& next = kids[*cursor]->tag();
-  for (const auto& alternative : node->children()) {
-    if (CanStartWith(alternative.get(), next)) {
-      return MatchContent(alternative.get(), element, cursor);
-    }
-  }
-  return InvalidArgument("no choice alternative matches <" + next + ">");
-}
+ private:
+  const std::vector<std::unique_ptr<XmlElement>>& kids_;
+  size_t next_ = 0;
+};
 
-Status CheckRootTag(std::string_view tag, const SchemaTree& tree) {
-  if (tag == tree.root()->name()) return Status::OK();
-  return InvalidArgument("document root <" + std::string(tag) +
-                         "> does not match schema root <" +
-                         tree.root()->name() + ">");
-}
-
+// True when an element named `tag` can start an instance of the particle
+// `node`: some tag at `node`'s matching level (not descending into tags)
+// carries that name.
 bool CanStartWith(const SchemaNode* node, std::string_view tag) {
   if (node->kind() == SchemaNodeKind::kTag) return node->name() == tag;
   for (const auto& child : node->children()) {
@@ -114,6 +37,15 @@ bool CanStartWith(const SchemaNode* node, std::string_view tag) {
   return false;
 }
 
+// True when the cursor's next child can start an instance of `particle`.
+Result<bool> NextStarts(const SchemaNode* particle, ChildCursor* children) {
+  XS_ASSIGN_OR_RETURN(const XmlElement* next, children->Peek());
+  return next != nullptr && CanStartWith(particle, next->tag());
+}
+
+// The variant of the union-distribution choice `choice` that `instance`
+// routes to: the first same-named variant whose presence constraints the
+// instance's children satisfy, or nullptr when none does.
 const SchemaNode* MatchVariant(const SchemaNode* choice,
                                const XmlElement& instance) {
   auto present = [&instance](const std::string& name) {
@@ -135,6 +67,120 @@ const SchemaNode* MatchVariant(const SchemaNode* choice,
     }
   }
   return nullptr;
+}
+
+}  // namespace
+
+Status SchemaWalker::WalkRoot(const XmlElement* root, const SchemaTree& tree) {
+  if (root == nullptr) return InvalidArgument("empty document");
+  ElementChildren children(*root);
+  return WalkRoot(*root, &children, tree);
+}
+
+Status SchemaWalker::WalkRoot(const XmlElement& root, ChildCursor* children,
+                              const SchemaTree& tree) {
+  if (root.tag() != tree.root()->name()) {
+    return InvalidArgument("document root <" + root.tag() +
+                           "> does not match schema root <" +
+                           tree.root()->name() + ">");
+  }
+  return WalkTag(root, tree.root(), children);
+}
+
+Status SchemaWalker::WalkTag(const XmlElement& element,
+                             const SchemaNode* node, ChildCursor* children) {
+  XS_RETURN_IF_ERROR(sink_->EnterTag(element, node));
+  if (IsLeafTag(node)) {
+    XS_RETURN_IF_ERROR(sink_->LeafText(node, element.text()));
+  } else {
+    XS_RETURN_IF_ERROR(MatchContent(node->child(0), element, children));
+    XS_ASSIGN_OR_RETURN(const XmlElement* rest, children->Peek());
+    if (rest != nullptr) {
+      return InvalidArgument("unconsumed children under <" + element.tag() +
+                             ">");
+    }
+  }
+  return sink_->ExitTag(node);
+}
+
+Status SchemaWalker::WalkChild(const XmlElement& child,
+                               const SchemaNode* node,
+                               ChildCursor* children) {
+  ElementChildren grandchildren(child);
+  XS_RETURN_IF_ERROR(WalkTag(child, node, &grandchildren));
+  children->Advance();
+  return Status::OK();
+}
+
+Status SchemaWalker::MatchContent(const SchemaNode* node,
+                                  const XmlElement& parent,
+                                  ChildCursor* children) {
+  switch (node->kind()) {
+    case SchemaNodeKind::kSequence:
+      for (const auto& child : node->children()) {
+        XS_RETURN_IF_ERROR(MatchContent(child.get(), parent, children));
+      }
+      return Status::OK();
+    case SchemaNodeKind::kTag: {
+      XS_ASSIGN_OR_RETURN(const XmlElement* next, children->Peek());
+      if (next == nullptr || next->tag() != node->name()) {
+        return InvalidArgument("expected <" + node->name() + "> under <" +
+                               parent.tag() + ">");
+      }
+      return WalkChild(*next, node, children);
+    }
+    case SchemaNodeKind::kOption: {
+      XS_ASSIGN_OR_RETURN(bool starts, NextStarts(node->child(0), children));
+      return starts ? MatchContent(node->child(0), parent, children)
+                    : Status::OK();
+    }
+    case SchemaNodeKind::kRepetition: {
+      int64_t occurrences = 0;
+      for (;;) {
+        XS_ASSIGN_OR_RETURN(bool starts, NextStarts(node->child(0), children));
+        if (!starts) break;
+        XS_RETURN_IF_ERROR(MatchContent(node->child(0), parent, children));
+        ++occurrences;
+      }
+      sink_->RepetitionVisit(node, occurrences);
+      return Status::OK();
+    }
+    case SchemaNodeKind::kChoice:
+      return MatchChoice(node, parent, children);
+    case SchemaNodeKind::kSimpleType:
+      return Internal("simple type in content position");
+  }
+  return Internal("unhandled schema node kind");
+}
+
+Status SchemaWalker::MatchChoice(const SchemaNode* node,
+                                 const XmlElement& parent,
+                                 ChildCursor* children) {
+  XS_ASSIGN_OR_RETURN(const XmlElement* next, children->Peek());
+  if (node->is_variant_choice()) {
+    // A variant choice stands where a context tag stood: the next child
+    // is a context instance, routed by its children's presence.
+    if (next == nullptr) {
+      return InvalidArgument("missing variant instance under <" +
+                             parent.tag() + ">");
+    }
+    const SchemaNode* variant = MatchVariant(node, *next);
+    if (variant == nullptr) {
+      return InvalidArgument("no variant accepts <" + next->tag() + ">");
+    }
+    return WalkChild(*next, variant, children);
+  }
+  if (next == nullptr) {
+    return InvalidArgument("missing choice content under <" + parent.tag() +
+                           ">");
+  }
+  for (const auto& alternative : node->children()) {
+    if (CanStartWith(alternative.get(), next->tag())) {
+      return MatchContent(alternative.get(), parent, children);
+    }
+  }
+  return InvalidArgument("no choice alternative matches <" + next->tag() +
+                         ">");
 }
 
 Value ParseLeafValue(const std::string& text, XsdBaseType type) {

@@ -5,18 +5,21 @@
 // and reports every match to a WalkSink. Shredding (stream_shredder.cc)
 // and statistics collection (xml_stats.cc) are two sinks over the same
 // walk, so they see the same elements in the same order and reject the
-// same documents with the same messages.
+// same documents with the same messages. No other code knows a
+// content-model rule.
 //
-// The walker runs over an XmlElement tree: the caller's whole DOM
-// (ShredDocument, XmlStatistics::Collect) or one subtree the streaming
-// shredder buffered. Child elements must appear in schema order.
+// The walker reads an element's children through a ChildCursor. Below
+// the root it always walks XmlElement trees; the root's children come
+// either from the caller's whole DOM (ShredDocument,
+// XmlStatistics::Collect) or from the streaming shredder, which builds
+// them one subtree at a time as the walker asks for them. Child elements
+// must appear in schema order.
 
 #ifndef XMLSHRED_MAPPING_SCHEMA_WALKER_H_
 #define XMLSHRED_MAPPING_SCHEMA_WALKER_H_
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "common/status.h"
 #include "rel/value.h"
@@ -31,7 +34,8 @@ namespace xmlshred {
 class WalkSink {
  public:
   virtual ~WalkSink() = default;
-  // `element` instantiates the tag `node`; called before its content.
+  // `element` instantiates the tag `node`; called before its content. A
+  // root whose children are read through a cursor may carry its tag alone.
   virtual Status EnterTag(const XmlElement& /*element*/,
                           const SchemaNode* /*node*/) {
     return Status::OK();
@@ -49,6 +53,18 @@ class WalkSink {
                                int64_t /*occurrences*/) {}
 };
 
+// One element's children in document order, as the walker reads them.
+class ChildCursor {
+ public:
+  virtual ~ChildCursor() = default;
+  // The next unread child, or null after the last one. It stays valid
+  // until Advance; an error (say, a parse error in a streamed child)
+  // aborts the walk.
+  virtual Result<const XmlElement*> Peek() = 0;
+  // Steps past the child Peek returned, once the walker is done with it.
+  virtual void Advance() = 0;
+};
+
 class SchemaWalker {
  public:
   explicit SchemaWalker(WalkSink* sink) : sink_(sink) {}
@@ -56,34 +72,28 @@ class SchemaWalker {
   // Walks a whole document tree: `root` must instantiate the schema root.
   Status WalkRoot(const XmlElement* root, const SchemaTree& tree);
 
-  // Walks `element`, already known to instantiate the tag `node`.
-  Status WalkTag(const XmlElement* element, const SchemaNode* node);
+  // Walks a document element whose children are read from `children`;
+  // `root` supplies its tag, and its text when the schema root is a leaf.
+  Status WalkRoot(const XmlElement& root, ChildCursor* children,
+                  const SchemaTree& tree);
 
  private:
-  // Matches the content particle `node` against the children of
-  // `element` from *cursor on.
-  Status MatchContent(const SchemaNode* node, const XmlElement* element,
-                      size_t* cursor);
-  Status MatchChoice(const SchemaNode* node, const XmlElement* element,
-                     size_t* cursor);
+  // Walks `element`, which instantiates the tag `node`.
+  Status WalkTag(const XmlElement& element, const SchemaNode* node,
+                 ChildCursor* children);
+  // Matches the content particle `node` against the children of `parent`
+  // from the cursor on.
+  Status MatchContent(const SchemaNode* node, const XmlElement& parent,
+                      ChildCursor* children);
+  Status MatchChoice(const SchemaNode* node, const XmlElement& parent,
+                     ChildCursor* children);
+  // Walks the next child, known to instantiate the tag `node`, and steps
+  // past it.
+  Status WalkChild(const XmlElement& child, const SchemaNode* node,
+                   ChildCursor* children);
 
   WalkSink* sink_;
 };
-
-// The error for a document whose root element is `tag` under a schema
-// whose root is not; OK when they match.
-Status CheckRootTag(std::string_view tag, const SchemaTree& tree);
-
-// True when an element named `tag` can start an instance of the particle
-// `node`: some tag at `node`'s matching level (not descending into tags)
-// carries that name.
-bool CanStartWith(const SchemaNode* node, std::string_view tag);
-
-// The variant of the union-distribution choice `choice` that `instance`
-// routes to: the first same-named variant whose presence constraints the
-// instance's children satisfy, or nullptr when none does.
-const SchemaNode* MatchVariant(const SchemaNode* choice,
-                               const XmlElement& instance);
 
 // Typed value of one leaf's text under its declared simple type; empty
 // text maps to SQL NULL.

@@ -1,11 +1,8 @@
 #include "mapping/stream_shredder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -13,7 +10,6 @@
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "mapping/schema_walker.h"
 #include "rel/table_types.h"
 #include "xml/document.h"
@@ -25,11 +21,8 @@ namespace {
 
 // Counted-byte transient-memory model (DESIGN.md §17): fixed per-unit
 // charges so the reported peak is exact and reproducible — a buffered
-// XmlElement, one run-list entry, one pre-scan subtree span, one encoded
-// cell staged in a worker run.
+// XmlElement, one encoded cell of a batch buffer.
 constexpr int64_t kTransientElementBytes = 64;
-constexpr int64_t kTransientRunBytes = 24;
-constexpr int64_t kTransientSpanBytes = 40;
 constexpr int64_t kTransientCellBytes = 9;
 
 // Per-relation columnar batch buffers feeding Table::AppendBlock. Rows
@@ -37,8 +30,7 @@ constexpr int64_t kTransientCellBytes = 9;
 // kStorageBlockRows rows (sealing the block immediately) and Finish
 // flushes the final partials in relation-index order. The shred.stream
 // fault site and the governor's memory charge fire once per flush, so
-// their schedules are functions of the row-append sequence alone — the
-// parallel path replays the same sequence and hits them identically.
+// their schedules are functions of the row-append sequence alone.
 class BatchWriter {
  public:
   BatchWriter(std::vector<Table*> tables, StringDictionary* dict,
@@ -61,20 +53,8 @@ class BatchWriter {
       b.bits[c].push_back(cell.bits);
       b.col_bytes[c] += bytes;
     }
-    return RowDone(rel, &b);
-  }
-
-  // Replay path: one pre-encoded row whose string cells already carry
-  // global dictionary codes.
-  Status AppendEncodedRow(int rel, const uint8_t* tags,
-                          const uint64_t* bits) {
-    RelBuffer& b = Touch(rel);
-    for (size_t c = 0; c < b.tags.size(); ++c) {
-      b.tags[c].push_back(tags[c]);
-      b.bits[c].push_back(bits[c]);
-      b.col_bytes[c] += CellByteSize(Cell{tags[c], bits[c]}, *dict_);
-    }
-    return RowDone(rel, &b);
+    if (++b.rows == kStorageBlockRows) return Flush(rel);
+    return Status::OK();
   }
 
   Status Finish() {
@@ -117,12 +97,6 @@ class BatchWriter {
     return b;
   }
 
-  Status RowDone(int rel, RelBuffer* b) {
-    ++b->rows;
-    if (b->rows == kStorageBlockRows) return Flush(rel);
-    return Status::OK();
-  }
-
   Status Flush(int rel) {
     RelBuffer& b = buffers_[static_cast<size_t>(rel)];
     if (b.rows == 0) return Status::OK();
@@ -160,89 +134,17 @@ class BatchWriter {
   int64_t allocated_bytes_ = 0;
 };
 
-// Where the walker's completed rows go: straight into the batch writer
-// (serial path) or into a worker's private staging run (parallel path).
-class RowSink {
- public:
-  virtual ~RowSink() = default;
-  virtual Status AppendRow(int rel, Row row) = 0;
-};
-
-class GlobalRowSink : public RowSink {
- public:
-  explicit GlobalRowSink(BatchWriter* writer) : writer_(writer) {}
-  Status AppendRow(int rel, Row row) override {
-    return writer_->AppendRow(rel, row);
-  }
-
- private:
-  BatchWriter* writer_;
-};
-
-// Worker-private staging: rows encode against a private dictionary (codes
-// remapped at merge) into per-relation row-major cell runs, plus an RLE
-// log of the relation sequence so the coordinator can replay the exact
-// document-order row stream.
-class LocalRowSink : public RowSink {
- public:
-  void Init(size_t num_relations) { runs.resize(num_relations); }
-
-  Status AppendRow(int rel, Row row) override {
-    RelRun& rr = runs[static_cast<size_t>(rel)];
-    for (const Value& v : row) {
-      int64_t bytes;
-      Cell c = EncodeValueCell(v, &dict, &bytes);
-      rr.tags.push_back(c.tag);
-      rr.bits.push_back(c.bits);
-    }
-    cells += static_cast<int64_t>(row.size());
-    if (!row_log.empty() && row_log.back().first == rel) {
-      ++row_log.back().second;
-    } else {
-      row_log.emplace_back(rel, int64_t{1});
-    }
-    return Status::OK();
-  }
-
-  struct RelRun {
-    std::vector<uint8_t> tags;
-    std::vector<uint64_t> bits;
-  };
-  StringDictionary dict;
-  std::vector<RelRun> runs;
-  std::vector<std::pair<int, int64_t>> row_log;  // (relation, rows) RLE
-  int64_t cells = 0;
-};
-
 // The shredding sink. Every matched tag consumes one document-order ID
 // (so a context instance keeps the same ID under every mapping, the
 // paper's "unique node ID"); an annotated tag opens a row (ID, PID = the
 // enclosing row's ID) that its inlined leaves fill and that goes to the
-// RowSink when the tag exits. The ID counter is seeded by the caller, and
-// an optional bottom-of-stack proxy stands in for the root's own row so
-// root-level inlined leaves store exactly where the whole-document walk
-// would store them.
+// batch writer when the tag exits. The root takes ID 1, and its row is
+// appended last.
 class ShredSink : public WalkSink {
  public:
-  ShredSink(const Mapping& mapping, RowSink* rows, int64_t first_id)
-      : mapping_(mapping), rows_(rows), next_id_(first_id) {}
+  ShredSink(const Mapping& mapping, BatchWriter* writer)
+      : mapping_(mapping), writer_(writer) {}
 
-  void SeedRootProxy(int root_rel_idx, size_t row_width) {
-    OpenRow proxy;
-    proxy.relation_idx = root_rel_idx;
-    proxy.row.assign(row_width, Value::Null());
-    proxy.row[0] = Value::Int(1);
-    row_stack_.push_back(std::move(proxy));
-    has_proxy_ = true;
-  }
-
-  Row TakeRootRow() {
-    XS_CHECK(has_proxy_);
-    return std::move(row_stack_.front().row);
-  }
-  const std::vector<std::pair<int, Value>>& root_writes() const {
-    return root_writes_;
-  }
   int64_t elements() const { return elements_; }
   int64_t rows() const { return rows_appended_; }
 
@@ -276,14 +178,8 @@ class ShredSink : public WalkSink {
       return Internal("leaf column outside its relation row: " +
                       node->name());
     }
-    Value value = ParseLeafValue(text, node->child(0)->base_type());
-    if (has_proxy_ && row_stack_.size() == 1) {
-      // Root-row write: logged (with Nulls — a later empty leaf must
-      // overwrite an earlier value at merge exactly as it does here).
-      root_writes_.emplace_back(col_idx, value);
-    }
     row_stack_.back().row[static_cast<size_t>(kFixedColumns + col_idx)] =
-        std::move(value);
+        ParseLeafValue(text, node->child(0)->base_type());
     return Status::OK();
   }
 
@@ -291,8 +187,7 @@ class ShredSink : public WalkSink {
     if (!node->is_annotated()) return Status::OK();
     OpenRow done = std::move(row_stack_.back());
     row_stack_.pop_back();
-    XS_RETURN_IF_ERROR(
-        rows_->AppendRow(done.relation_idx, std::move(done.row)));
+    XS_RETURN_IF_ERROR(writer_->AppendRow(done.relation_idx, done.row));
     ++rows_appended_;
     return Status::OK();
   }
@@ -304,13 +199,11 @@ class ShredSink : public WalkSink {
   };
 
   const Mapping& mapping_;
-  RowSink* rows_;
+  BatchWriter* writer_;
   std::vector<OpenRow> row_stack_;
-  std::vector<std::pair<int, Value>> root_writes_;
-  int64_t next_id_;
+  int64_t next_id_ = 1;
   int64_t elements_ = 0;
   int64_t rows_appended_ = 0;
-  bool has_proxy_ = false;
 };
 
 // A buffered subtree under the counted-byte model: per element, a fixed
@@ -326,186 +219,72 @@ int64_t CountedBytes(const XmlElement& element) {
   return bytes;
 }
 
-// --- Root-level routing -------------------------------------------------
-
-struct RouteTable {
-  // Tag name -> its unique routing slot at the root matching level: a
-  // plain kTag node, or the variant kChoice owning the name's variants.
-  std::map<std::string, const SchemaNode*> slots;
-  // Set when a name has two distinct slots (e.g. a repetition split at
-  // the root) — single-subtree routing would be wrong, so the shredder
-  // buffers the whole document instead.
-  bool ambiguous = false;
-};
-
-void CollectSlots(const SchemaNode* node,
-                  std::map<std::string, std::set<const SchemaNode*>>* out) {
-  if (node->kind() == SchemaNodeKind::kTag) {
-    (*out)[node->name()].insert(node);
-    return;
-  }
-  if (node->kind() == SchemaNodeKind::kChoice && node->is_variant_choice()) {
-    for (const auto& variant : node->children()) {
-      if (variant->kind() == SchemaNodeKind::kTag) {
-        (*out)[variant->name()].insert(node);
-      }
-    }
-    return;
-  }
-  for (const auto& child : node->children()) CollectSlots(child.get(), out);
-}
-
-RouteTable BuildRoutes(const SchemaTree& tree) {
-  RouteTable rt;
-  if (IsLeafTag(tree.root())) {
-    rt.ambiguous = true;  // no element children to stream over
-    return rt;
-  }
-  std::map<std::string, std::set<const SchemaNode*>> slots;
-  CollectSlots(tree.root()->child(0), &slots);
-  for (const auto& entry : slots) {
-    if (entry.second.size() > 1) {
-      rt.ambiguous = true;
-      return rt;
-    }
-    rt.slots[entry.first] = *entry.second.begin();
-  }
-  return rt;
-}
-
-// Resolves one buffered top-level subtree to the tag node to walk.
-// `*resolved` stays null when the name matches no slot — the run list
-// records a sentinel and MatchRuns reproduces the walker's error. A
-// variant choice whose presence constraints reject the instance fails
-// outright with the walker's message.
-Status ResolveRoute(const RouteTable& routes, const XmlElement* instance,
-                    const SchemaNode** slot, const SchemaNode** resolved) {
-  *slot = nullptr;
-  *resolved = nullptr;
-  auto it = routes.slots.find(instance->tag());
-  if (it == routes.slots.end()) return Status::OK();
-  *slot = it->second;
-  if ((*slot)->kind() == SchemaNodeKind::kTag) {
-    *resolved = *slot;
-    return Status::OK();
-  }
-  *resolved = MatchVariant(*slot, *instance);
-  if (*resolved == nullptr) {
-    return InvalidArgument("no variant accepts <" + instance->tag() + ">");
-  }
+// Fails on content after the document element, whose end the parser just
+// returned.
+Status CheckTrailer(XmlStreamParser* parser) {
+  XS_ASSIGN_OR_RETURN(XmlEvent tail, parser->Next());
+  XS_CHECK(tail.kind == XmlEventKind::kEndOfInput);
   return Status::OK();
 }
 
-// --- Deferred root content-model validation -----------------------------
+// The streamed document element's children: each is built with
+// BuildSubtree when the walker first peeks at it and dropped when the
+// walker steps past it, so one child subtree is held at a time. Text
+// directly under the root is skipped (a non-leaf element's text is never
+// read). When the root closes, the trailer check runs before the walker
+// sees the end of the children, as ParseXml orders it.
+class StreamedChildren : public ChildCursor {
+ public:
+  explicit StreamedChildren(XmlStreamParser* parser) : parser_(parser) {}
 
-// One run-length-encoded group of consecutive top-level instances that
-// routed to the same slot. `resolved == nullptr` marks a sentinel (a name
-// no slot claims): nothing can consume it, so matching always fails at or
-// before it — with the same message the schema walker would produce.
-struct TopRun {
-  const SchemaNode* slot = nullptr;
-  const SchemaNode* resolved = nullptr;
-  std::string name;
-  int64_t count = 0;
+  Result<const XmlElement*> Peek() override {
+    if (child_ != nullptr || closed_) return child_.get();
+    for (;;) {
+      XS_ASSIGN_OR_RETURN(XmlEvent event, parser_->Next());
+      if (event.kind == XmlEventKind::kText) continue;
+      if (event.kind == XmlEventKind::kEndElement) {
+        closed_ = true;
+        XS_RETURN_IF_ERROR(CheckTrailer(parser_));
+        return nullptr;
+      }
+      XS_ASSIGN_OR_RETURN(child_, BuildSubtree(event, parser_));
+      peak_bytes_ = std::max(peak_bytes_, CountedBytes(*child_));
+      return child_.get();
+    }
+  }
+  void Advance() override { child_.reset(); }
+
+  // The largest child held, under the counted-byte model.
+  int64_t peak_bytes() const { return peak_bytes_; }
+
+ private:
+  XmlStreamParser* parser_;
+  std::unique_ptr<XmlElement> child_;
+  bool closed_ = false;
+  int64_t peak_bytes_ = 0;
 };
 
-void AppendTopRun(std::vector<TopRun>* runs, const SchemaNode* slot,
-                  const SchemaNode* resolved, const std::string& name) {
-  if (!runs->empty()) {
-    TopRun& last = runs->back();
-    if (last.slot == slot && last.resolved == resolved && last.name == name) {
-      ++last.count;
-      return;
-    }
+// Walks the document in `xml` in one pass and returns the counted bytes
+// of the largest subtree it held. A leaf root has no element children to
+// stream, so its one element is built and walked whole.
+Result<int64_t> WalkStream(std::string_view xml, const SchemaTree& tree,
+                           ResourceGovernor* governor, SchemaWalker* walker) {
+  StreamParseOptions popts;
+  popts.governor = governor;
+  XmlStreamParser parser(xml, popts);
+  XS_ASSIGN_OR_RETURN(XmlEvent start, parser.Next());
+  if (IsLeafTag(tree.root())) {
+    XS_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> root,
+                        BuildSubtree(start, &parser));
+    XS_RETURN_IF_ERROR(CheckTrailer(&parser));
+    XS_RETURN_IF_ERROR(walker->WalkRoot(root.get(), tree));
+    return CountedBytes(*root);
   }
-  runs->push_back(TopRun{slot, resolved, name, 1});
+  XmlElement root{std::string(start.name)};
+  StreamedChildren children(&parser);
+  XS_RETURN_IF_ERROR(walker->WalkRoot(root, &children, tree));
+  return children.peak_bytes();
 }
-
-struct RunCursor {
-  const std::vector<TopRun>* runs;
-  size_t idx = 0;
-  int64_t used = 0;
-
-  const TopRun* Peek() const {
-    return idx < runs->size() ? &(*runs)[idx] : nullptr;
-  }
-  void ConsumeOne() {
-    if (++used == (*runs)[idx].count) {
-      ++idx;
-      used = 0;
-    }
-  }
-};
-
-// The schema walker's content matching over the root's children, decided
-// per run instead of per element: same CanStartWith tests, same error
-// messages, but a million repetitions cost one run entry. Variant
-// instances were presence-routed at buffering time, so here the run only
-// needs to belong to the choice.
-Status MatchRuns(const SchemaNode* node, RunCursor* cur,
-                 const std::string& root_tag) {
-  switch (node->kind()) {
-    case SchemaNodeKind::kSequence:
-      for (const auto& child : node->children()) {
-        XS_RETURN_IF_ERROR(MatchRuns(child.get(), cur, root_tag));
-      }
-      return Status::OK();
-    case SchemaNodeKind::kTag: {
-      const TopRun* r = cur->Peek();
-      if (r == nullptr || r->name != node->name()) {
-        return InvalidArgument("expected <" + node->name() + "> under <" +
-                               root_tag + ">");
-      }
-      cur->ConsumeOne();
-      return Status::OK();
-    }
-    case SchemaNodeKind::kOption: {
-      const TopRun* r = cur->Peek();
-      if (r != nullptr && CanStartWith(node->child(0), r->name)) {
-        return MatchRuns(node->child(0), cur, root_tag);
-      }
-      return Status::OK();
-    }
-    case SchemaNodeKind::kRepetition:
-      for (;;) {
-        const TopRun* r = cur->Peek();
-        if (r == nullptr || !CanStartWith(node->child(0), r->name)) {
-          return Status::OK();
-        }
-        XS_RETURN_IF_ERROR(MatchRuns(node->child(0), cur, root_tag));
-      }
-    case SchemaNodeKind::kChoice: {
-      const TopRun* r = cur->Peek();
-      if (node->is_variant_choice()) {
-        if (r == nullptr) {
-          return InvalidArgument("missing variant instance under <" +
-                                 root_tag + ">");
-        }
-        if (r->slot != node || r->resolved == nullptr) {
-          return InvalidArgument("no variant accepts <" + r->name + ">");
-        }
-        cur->ConsumeOne();
-        return Status::OK();
-      }
-      if (r == nullptr) {
-        return InvalidArgument("missing choice content under <" + root_tag +
-                               ">");
-      }
-      for (const auto& alternative : node->children()) {
-        if (CanStartWith(alternative.get(), r->name)) {
-          return MatchRuns(alternative.get(), cur, root_tag);
-        }
-      }
-      return InvalidArgument("no choice alternative matches <" + r->name +
-                             ">");
-    }
-    case SchemaNodeKind::kSimpleType:
-      return Internal("simple type in content position");
-  }
-  return Internal("unhandled schema node kind");
-}
-
-// --- The driver ---------------------------------------------------------
 
 // One all-or-nothing ingest of a document into `db`.
 class Ingest {
@@ -514,43 +293,29 @@ class Ingest {
          const StreamShredOptions& options)
       : tree_(tree), mapping_(mapping), db_(db), options_(options) {}
 
-  // Streams the text: root-routed subtrees, partitioned across workers
-  // when asked, or the whole document when root routing is ambiguous.
   Result<ShredStats> RunStream(std::string_view xml) {
-    xml_ = xml;
-    return Complete([this] {
-      routes_ = BuildRoutes(tree_);
-      root_rel_ = mapping_.RelationIndexOfAnchor(tree_.root()->id());
-      fallback_ = routes_.ambiguous || root_rel_ < 0;
-      bool redo_serial = false;
-      Status status = options_.threads > 1 && !fallback_
-                          ? RunParallel(&redo_serial)
-                          : RunSerial();
-      if (status.ok() && redo_serial) {
-        // Partitioned run detected something only the serial order can
-        // answer exactly (parse error, schema mismatch, walked-element
-        // drift). Tables are still empty and the dictionary untouched, so
-        // the canonical pass just runs in their place.
-        stats_ = ShredStats();
-        status = RunSerial();
-      }
-      return status;
+    return Complete([&](SchemaWalker* walker) {
+      return WalkStream(xml, tree_, options_.governor, walker);
     });
   }
 
-  // The whole-document path over the caller's DOM.
+  // Walks the caller's DOM, which is not counted as transient memory.
   Result<ShredStats> RunDocument(const XmlDocument& doc) {
-    return Complete([&] { return ShredWholeDocument(doc.root(), 0); });
+    return Complete([&](SchemaWalker* walker) -> Result<int64_t> {
+      XS_RETURN_IF_ERROR(walker->WalkRoot(doc.root(), tree_));
+      return int64_t{0};
+    });
   }
 
  private:
-  // Creates the tables and runs `body`. On failure every created table is
+  // Creates the tables and shreds into them with `walk`, which returns
+  // the counted bytes it buffered. On failure every created table is
   // dropped and the dictionary truncated back to its entry state.
-  template <typename Body>
-  Result<ShredStats> Complete(Body body) {
+  template <typename Walk>
+  Result<ShredStats> Complete(Walk walk) {
     dict_floor_ = db_->dictionary().size();
     Status status = CreateTables();
-    if (status.ok()) status = body();
+    if (status.ok()) status = Shred(walk);
     if (!status.ok()) {
       Rollback();
       return status;
@@ -569,38 +334,13 @@ class Ingest {
     return Status::OK();
   }
 
-  void Rollback() {
-    for (const std::string& name : created_) db_->DropTable(name);
-    db_->mutable_dictionary()->TruncateTo(dict_floor_);
-  }
-
-  size_t RootRowWidth() const {
-    const MappedRelation& rel =
-        mapping_.relations()[static_cast<size_t>(root_rel_)];
-    return static_cast<size_t>(kFixedColumns) + rel.columns.size();
-  }
-
-  Status MatchRootRuns(const std::vector<TopRun>& runs) {
-    RunCursor cur{&runs, 0, 0};
-    XS_RETURN_IF_ERROR(
-        MatchRuns(tree_.root()->child(0), &cur, tree_.root()->name()));
-    if (cur.Peek() != nullptr) {
-      return InvalidArgument("unconsumed children under <" +
-                             tree_.root()->name() + ">");
-    }
-    return Status::OK();
-  }
-
-  // One walk from the root with no routing, over a tree of
-  // `buffered_bytes` (counted-byte model) this ingest built itself, or
-  // over the caller's DOM (0).
-  Status ShredWholeDocument(const XmlElement* root, int64_t buffered_bytes) {
-    stats_.partitions = 1;
+  template <typename Walk>
+  Status Shred(Walk walk) {
     BatchWriter writer(tables_, db_->mutable_dictionary(), options_.governor,
                        &stats_);
-    GlobalRowSink rows(&writer);
-    ShredSink sink(mapping_, &rows, /*first_id=*/1);
-    XS_RETURN_IF_ERROR(SchemaWalker(&sink).WalkRoot(root, tree_));
+    ShredSink sink(mapping_, &writer);
+    SchemaWalker walker(&sink);
+    XS_ASSIGN_OR_RETURN(int64_t buffered_bytes, walk(&walker));
     stats_.elements = sink.elements();
     stats_.rows = sink.rows();
     XS_RETURN_IF_ERROR(writer.Finish());
@@ -608,74 +348,13 @@ class Ingest {
     return Status::OK();
   }
 
-  Status RunSerial() {
-    StreamParseOptions popts;
-    popts.governor = options_.governor;
-    XmlStreamParser parser(xml_, popts);
-    XS_ASSIGN_OR_RETURN(XmlEvent ev, parser.Next());
-    XS_CHECK(ev.kind == XmlEventKind::kStartElement);
-    XS_RETURN_IF_ERROR(CheckRootTag(ev.name, tree_));
-
-    if (fallback_) {
-      // Whole-document buffering: correct for any schema, but peak memory
-      // grows with the document — only taken for ambiguous root routing /
-      // leaf roots.
-      XS_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> root,
-                          BuildSubtree(ev, &parser));
-      XS_ASSIGN_OR_RETURN(XmlEvent tail, parser.Next());
-      XS_CHECK(tail.kind == XmlEventKind::kEndOfInput);
-      return ShredWholeDocument(root.get(), CountedBytes(*root));
-    }
-
-    stats_.partitions = 1;
-    BatchWriter writer(tables_, db_->mutable_dictionary(), options_.governor,
-                       &stats_);
-    GlobalRowSink rows(&writer);
-    ShredSink sink(mapping_, &rows, /*first_id=*/2);
-    sink.SeedRootProxy(root_rel_, RootRowWidth());
-    SchemaWalker walker(&sink);
-    std::vector<TopRun> runs;
-    int64_t max_subtree = 0;
-    for (;;) {
-      XS_ASSIGN_OR_RETURN(XmlEvent child, parser.Next());
-      if (child.kind == XmlEventKind::kText) continue;  // root-level text:
-                                                        // ignored, as DOM
-      if (child.kind == XmlEventKind::kEndElement) break;
-      XS_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> elem,
-                          BuildSubtree(child, &parser));
-      max_subtree = std::max(max_subtree, CountedBytes(*elem));
-      const SchemaNode* slot = nullptr;
-      const SchemaNode* resolved = nullptr;
-      XS_RETURN_IF_ERROR(ResolveRoute(routes_, elem.get(), &slot, &resolved));
-      AppendTopRun(&runs, slot, resolved, elem->tag());
-      if (resolved == nullptr) {
-        // Unroutable name: nothing in the content model can ever consume
-        // it, so the document is invalid — surface the matcher's error.
-        Status ms = MatchRootRuns(runs);
-        return ms.ok() ? InvalidArgument("unconsumed children under <" +
-                                         tree_.root()->name() + ">")
-                       : ms;
-      }
-      XS_RETURN_IF_ERROR(walker.WalkTag(elem.get(), resolved));
-    }
-    XS_ASSIGN_OR_RETURN(XmlEvent tail, parser.Next());
-    XS_CHECK(tail.kind == XmlEventKind::kEndOfInput);
-    XS_RETURN_IF_ERROR(MatchRootRuns(runs));
-    XS_RETURN_IF_ERROR(rows.AppendRow(root_rel_, sink.TakeRootRow()));
-    stats_.rows = sink.rows() + 1;
-    stats_.elements = sink.elements() + 1;
-    XS_RETURN_IF_ERROR(writer.Finish());
-    stats_.transient_peak_bytes =
-        writer.allocated_bytes() + max_subtree +
-        kTransientRunBytes * static_cast<int64_t>(runs.size());
-    return Status::OK();
+  void Rollback() {
+    for (const std::string& name : created_) db_->DropTable(name);
+    db_->mutable_dictionary()->TruncateTo(dict_floor_);
   }
 
-  Status RunParallel(bool* redo_serial);
-
-  // Thread-count-invariant registry metrics only; the thread-dependent
-  // transient peak stays in ShredStats. Storage peaks mirror the gauges
-  // evaluate.cc maintains for the DOM pipeline.
+  // Storage peaks mirror the gauges evaluate.cc maintains for the DOM
+  // pipeline.
   void PublishMetrics() {
     MetricsRegistry* m = options_.metrics;
     if (m == nullptr) return;
@@ -695,274 +374,15 @@ class Ingest {
         ->SetMax(static_cast<double>(db_->TotalStoredBytes()));
   }
 
-  std::string_view xml_;
   const SchemaTree& tree_;
   const Mapping& mapping_;
   Database* db_;
   StreamShredOptions options_;
   std::vector<std::string> created_;
   std::vector<Table*> tables_;
-  RouteTable routes_;
-  int root_rel_ = -1;
-  bool fallback_ = false;
   size_t dict_floor_ = 0;
   ShredStats stats_;
 };
-
-Status Ingest::RunParallel(bool* redo_serial) {
-  // Structural pre-scan: byte span + start-tag count of every depth-1
-  // subtree. Any irregularity (parse error, wrong root) redoes serially —
-  // the serial pass reports it with its exact error precedence.
-  struct Span {
-    size_t begin = 0;
-    size_t end = 0;
-    int64_t starts = 0;
-  };
-  std::vector<Span> spans;
-  {
-    StreamParseOptions popts;
-    popts.governor = options_.governor;
-    XmlStreamParser pre(xml_, popts);
-    auto root_ev = pre.Next();
-    if (!root_ev.ok()) {
-      *redo_serial = true;
-      return Status::OK();
-    }
-    XmlEvent ev = std::move(root_ev).TakeValue();
-    if (ev.kind != XmlEventKind::kStartElement ||
-        ev.name != tree_.root()->name()) {
-      *redo_serial = true;
-      return Status::OK();
-    }
-    for (;;) {
-      auto next = pre.Next();
-      if (!next.ok()) {
-        *redo_serial = true;
-        return Status::OK();
-      }
-      XmlEvent e = std::move(next).TakeValue();
-      if (e.kind == XmlEventKind::kText) continue;
-      if (e.kind == XmlEventKind::kEndElement) break;  // root closed
-      if (e.kind != XmlEventKind::kStartElement) {
-        *redo_serial = true;
-        return Status::OK();
-      }
-      Span s{e.begin, e.end, 1};
-      int depth = 1;
-      while (depth > 0) {
-        auto inner = pre.Next();
-        if (!inner.ok()) {
-          *redo_serial = true;
-          return Status::OK();
-        }
-        XmlEvent ie = std::move(inner).TakeValue();
-        if (ie.kind == XmlEventKind::kStartElement) {
-          ++s.starts;
-          ++depth;
-        } else if (ie.kind == XmlEventKind::kEndElement) {
-          if (--depth == 0) s.end = ie.end;
-        } else if (ie.kind == XmlEventKind::kEndOfInput) {
-          *redo_serial = true;
-          return Status::OK();
-        }
-      }
-      spans.push_back(s);
-    }
-    auto tail = pre.Next();
-    if (!tail.ok() ||
-        std::move(tail).TakeValue().kind != XmlEventKind::kEndOfInput) {
-      *redo_serial = true;
-      return Status::OK();
-    }
-  }
-
-  int workers = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(options_.threads), spans.size()));
-  if (workers <= 1) return RunSerial();
-  stats_.partitions = workers;
-
-  // Contiguous byte-balanced chunks, plus each chunk's document-order ID
-  // base (2 + start tags before it; the root holds ID 1).
-  int64_t total_bytes = 0;
-  for (const Span& s : spans) {
-    total_bytes += static_cast<int64_t>(s.end - s.begin);
-  }
-  std::vector<size_t> bounds(static_cast<size_t>(workers) + 1, 0);
-  bounds[static_cast<size_t>(workers)] = spans.size();
-  {
-    int64_t cum = 0;
-    size_t i = 0;
-    for (int w = 1; w < workers; ++w) {
-      int64_t target = total_bytes * w / workers;
-      while (i < spans.size() && cum < target) {
-        cum += static_cast<int64_t>(spans[i].end - spans[i].begin);
-        ++i;
-      }
-      bounds[static_cast<size_t>(w)] = i;
-    }
-  }
-  std::vector<int64_t> prefix(spans.size() + 1, 0);
-  for (size_t i = 0; i < spans.size(); ++i) {
-    prefix[i + 1] = prefix[i] + spans[i].starts;
-  }
-
-  struct Worker {
-    LocalRowSink rows;
-    std::unique_ptr<ShredSink> shred;
-    std::vector<TopRun> runs;
-    int64_t max_subtree = 0;
-    bool anomaly = false;
-  };
-  std::vector<Worker> ws(static_cast<size_t>(workers));
-  size_t nrel = mapping_.relations().size();
-  std::atomic<bool> any_anomaly{false};
-  ParallelFor(workers, workers, [&](int w) {
-    Worker& wk = ws[static_cast<size_t>(w)];
-    wk.rows.Init(nrel);
-    size_t lo = bounds[static_cast<size_t>(w)];
-    size_t hi = bounds[static_cast<size_t>(w) + 1];
-    wk.shred = std::make_unique<ShredSink>(mapping_, &wk.rows,
-                                           /*first_id=*/2 + prefix[lo]);
-    wk.shred->SeedRootProxy(root_rel_, RootRowWidth());
-    SchemaWalker walker(wk.shred.get());
-    for (size_t si = lo; si < hi && !wk.anomaly; ++si) {
-      const Span& s = spans[si];
-      StreamParseOptions po;
-      po.governor = options_.governor;
-      po.fragment = true;
-      XmlStreamParser sp(xml_.substr(s.begin, s.end - s.begin), po);
-      auto evr = sp.Next();
-      if (!evr.ok()) {
-        wk.anomaly = true;
-        break;
-      }
-      XmlEvent ev = std::move(evr).TakeValue();
-      if (ev.kind != XmlEventKind::kStartElement) {
-        wk.anomaly = true;
-        break;
-      }
-      Result<std::unique_ptr<XmlElement>> built = BuildSubtree(ev, &sp);
-      if (!built.ok()) {
-        wk.anomaly = true;
-        break;
-      }
-      std::unique_ptr<XmlElement> elem = std::move(built).TakeValue();
-      wk.max_subtree = std::max(wk.max_subtree, CountedBytes(*elem));
-      const SchemaNode* slot = nullptr;
-      const SchemaNode* resolved = nullptr;
-      Status rs = ResolveRoute(routes_, elem.get(), &slot, &resolved);
-      if (!rs.ok() || resolved == nullptr) {
-        wk.anomaly = true;
-        break;
-      }
-      AppendTopRun(&wk.runs, slot, resolved, elem->tag());
-      if (!walker.WalkTag(elem.get(), resolved).ok()) {
-        wk.anomaly = true;
-        break;
-      }
-    }
-    // ID determinism check: the walk must consume exactly the pre-scan's
-    // start-tag count (it won't when a leaf tag carries child elements,
-    // which the walk ignores without assigning IDs). Any drift shifts
-    // every later chunk's ID base, so the whole ingest redoes serially.
-    if (!wk.anomaly && wk.shred->elements() != prefix[hi] - prefix[lo]) {
-      wk.anomaly = true;
-    }
-    if (wk.anomaly) any_anomaly.store(true, std::memory_order_release);
-  });
-  if (any_anomaly.load(std::memory_order_acquire)) {
-    *redo_serial = true;
-    return Status::OK();
-  }
-
-  // Content-model validation over the concatenated run list (boundary
-  // runs re-merged) — identical runs, and so identical verdict and error
-  // message, to the serial pass.
-  std::vector<TopRun> runs;
-  for (const Worker& wk : ws) {
-    for (const TopRun& r : wk.runs) {
-      if (!runs.empty() && runs.back().slot == r.slot &&
-          runs.back().resolved == r.resolved && runs.back().name == r.name) {
-        runs.back().count += r.count;
-      } else {
-        runs.push_back(r);
-      }
-    }
-  }
-  XS_RETURN_IF_ERROR(MatchRootRuns(runs));
-
-  // Dictionary merge in partition order: a string's first document-order
-  // occurrence lies in the earliest partition containing it, and local
-  // codes follow that partition's document order, so global codes come
-  // out exactly as serial interleaved interning would assign them.
-  StringDictionary* dict = db_->mutable_dictionary();
-  std::vector<std::vector<uint32_t>> remap(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    const StringDictionary& local = ws[static_cast<size_t>(w)].rows.dict;
-    remap[static_cast<size_t>(w)].resize(local.size());
-    for (size_t c = 0; c < local.size(); ++c) {
-      remap[static_cast<size_t>(w)][c] =
-          dict->Intern(local.str(static_cast<uint32_t>(c)));
-    }
-  }
-
-  // Replay every worker's row log through the batch writer in document
-  // order — the exact row / flush / fault-check / memory-charge sequence
-  // of the serial pass.
-  BatchWriter writer(tables_, dict, options_.governor, &stats_);
-  for (int w = 0; w < workers; ++w) {
-    LocalRowSink& sk = ws[static_cast<size_t>(w)].rows;
-    const std::vector<uint32_t>& map = remap[static_cast<size_t>(w)];
-    std::vector<size_t> cursor(nrel, 0);
-    for (const auto& entry : sk.row_log) {
-      int rel = entry.first;
-      size_t ncols = static_cast<size_t>(
-          tables_[static_cast<size_t>(rel)]->schema().num_columns());
-      LocalRowSink::RelRun& rr = sk.runs[static_cast<size_t>(rel)];
-      for (int64_t k = 0; k < entry.second; ++k) {
-        size_t off = cursor[static_cast<size_t>(rel)];
-        for (size_t c = 0; c < ncols; ++c) {
-          if (rr.tags[off + c] == static_cast<uint8_t>(CellTag::kStr)) {
-            rr.bits[off + c] = map[static_cast<uint32_t>(rr.bits[off + c])];
-          }
-        }
-        XS_RETURN_IF_ERROR(writer.AppendEncodedRow(
-            rel, rr.tags.data() + off, rr.bits.data() + off));
-        cursor[static_cast<size_t>(rel)] = off + ncols;
-      }
-    }
-  }
-
-  // Root row: apply per-partition write logs in order (the last write in
-  // document order wins, exactly as the serial proxy ends up), append it
-  // last like the whole-document walk, then flush the partial batches.
-  Row root_row(RootRowWidth(), Value::Null());
-  root_row[0] = Value::Int(1);
-  stats_.rows = 1;
-  stats_.elements = 1;
-  for (const Worker& wk : ws) {
-    for (const auto& write : wk.shred->root_writes()) {
-      root_row[static_cast<size_t>(kFixedColumns + write.first)] =
-          write.second;
-    }
-    stats_.rows += wk.shred->rows();
-    stats_.elements += wk.shred->elements();
-  }
-  XS_RETURN_IF_ERROR(writer.AppendRow(root_rel_, root_row));
-  XS_RETURN_IF_ERROR(writer.Finish());
-
-  int64_t worker_bytes = 0;
-  for (const Worker& wk : ws) {
-    worker_bytes += wk.rows.cells * kTransientCellBytes +
-                    wk.rows.dict.ByteSize() +
-                    kTransientRunBytes * static_cast<int64_t>(wk.runs.size()) +
-                    wk.max_subtree;
-  }
-  stats_.transient_peak_bytes =
-      kTransientSpanBytes * static_cast<int64_t>(spans.size()) +
-      writer.allocated_bytes() + worker_bytes;
-  return Status::OK();
-}
 
 }  // namespace
 

@@ -64,9 +64,8 @@ XmlStreamParser::XmlStreamParser(std::string_view xml,
                                  const StreamParseOptions& options)
     : xml_(xml),
       governor_(options.governor != nullptr ? options.governor
-                                            : &stack_safety_),
-      fragment_(options.fragment) {
-  if (!fragment_) SkipProlog();
+                                            : &stack_safety_) {
+  SkipProlog();
 }
 
 XmlStreamParser::~XmlStreamParser() {
@@ -117,7 +116,6 @@ Result<std::string_view> XmlStreamParser::ParseName() {
 }
 
 Result<XmlEvent> XmlStreamParser::ParseStartTag() {
-  size_t begin = pos_;
   Status depth_ok = governor_->EnterRecursion();
   if (!depth_ok.ok()) return Fail(std::move(depth_ok));
   ++entered_depth_;
@@ -127,7 +125,6 @@ Result<XmlEvent> XmlStreamParser::ParseStartTag() {
   XmlEvent start;
   start.kind = XmlEventKind::kStartElement;
   start.name = *tag_or;
-  start.begin = begin;
   attributes_.clear();
   while (true) {
     while (pos_ < xml_.size() &&
@@ -138,15 +135,12 @@ Result<XmlEvent> XmlStreamParser::ParseStartTag() {
     bool self_closing = Matches("/>");
     if (self_closing || Matches(">")) {
       pos_ += self_closing ? 2 : 1;
-      start.end = pos_;
       start.attributes = attributes_;
       open_tags_.push_back(start.name);
       if (self_closing) {
         pending_end_ = XmlEvent{};
         pending_end_.kind = XmlEventKind::kEndElement;
         pending_end_.name = start.name;
-        pending_end_.begin = begin;
-        pending_end_.end = pos_;
         has_pending_end_ = true;
       }
       return start;
@@ -182,17 +176,8 @@ Result<XmlEvent> XmlStreamParser::Next() {
   if (done_) return XmlEvent{};  // kEndOfInput
 
   if (open_tags_.empty()) {
-    // Top level: before the root (doc mode), between top elements
-    // (fragment mode), or after the root (doc mode trailer check).
+    // Top level: before the root, or after it (the trailer check).
     SkipWhitespaceAndComments();
-    if (fragment_) {
-      if (pos_ >= xml_.size()) {
-        done_ = true;
-        return XmlEvent{};
-      }
-      if (!Matches("<")) return Fail(InvalidArgument("expected element"));
-      return ParseStartTag();
-    }
     if (saw_root_) {
       if (pos_ < xml_.size()) {
         return Fail(InvalidArgument("content after document element"));
@@ -219,7 +204,6 @@ Result<XmlEvent> XmlStreamParser::Next() {
       continue;
     }
     if (Matches("</")) {
-      size_t begin = pos_;
       pos_ += 2;
       Result<std::string_view> close_or = ParseName();
       if (!close_or.ok()) return Fail(close_or.status());
@@ -239,8 +223,6 @@ Result<XmlEvent> XmlStreamParser::Next() {
       XmlEvent end_event;
       end_event.kind = XmlEventKind::kEndElement;
       end_event.name = tag;
-      end_event.begin = begin;
-      end_event.end = pos_;
       return end_event;
     }
     if (Matches("<")) return ParseStartTag();
@@ -249,7 +231,6 @@ Result<XmlEvent> XmlStreamParser::Next() {
       return Fail(InvalidArgument("unterminated element content"));
     }
     std::string_view raw = xml_.substr(pos_, next - pos_);
-    size_t begin = pos_;
     pos_ = next;
     // Entity decoding never introduces whitespace, so an all-whitespace
     // raw run decodes to nothing.
@@ -257,8 +238,6 @@ Result<XmlEvent> XmlStreamParser::Next() {
     XmlEvent text;
     text.kind = XmlEventKind::kText;
     text.raw_text = raw;
-    text.begin = begin;
-    text.end = next;
     return text;
   }
 }

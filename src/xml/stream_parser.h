@@ -31,7 +31,7 @@ enum class XmlEventKind {
   kStartElement,  // <tag ...> or the opening half of <tag/>
   kEndElement,    // </tag> or the closing half of <tag/>
   kText,          // a character-data run with at least one non-space byte
-  kEndOfInput,    // document (or fragment) fully consumed
+  kEndOfInput,    // document fully consumed
 };
 
 // One attribute of a start tag, as written: views into the input buffer.
@@ -48,11 +48,6 @@ struct XmlEvent {
   // Text: the raw (escaped, untrimmed) character run; decode with
   // AppendDecodedText. Start / end: empty.
   std::string_view raw_text;
-  // Byte span of the event's token in the input buffer: a start tag spans
-  // '<'..'>', an end tag spans '</'..'>' (== the start span for the
-  // synthetic end of a self-closing tag), text spans the raw run.
-  size_t begin = 0;
-  size_t end = 0;
   // Start: the tag's attributes in source order, valid until the next
   // call to Next(). Other kinds: empty.
   std::span<const XmlRawAttribute> attributes;
@@ -70,10 +65,6 @@ struct StreamParseOptions {
   // Depth guard; null applies the kDefaultMaxRecursionDepth stack-safety
   // floor.
   ResourceGovernor* governor = nullptr;
-  // Fragment mode parses a whitespace/comment-separated *sequence* of
-  // elements (no prolog, no "content after document element" check) —
-  // used by parallel ingest workers on top-level subtree partitions.
-  bool fragment = false;
 };
 
 class XmlStreamParser {
@@ -104,13 +95,12 @@ class XmlStreamParser {
   std::string_view xml_;
   ResourceGovernor* governor_;
   ResourceGovernor stack_safety_;  // used when the caller passes none
-  bool fragment_ = false;
   size_t pos_ = 0;
   std::vector<std::string_view> open_tags_;
   std::vector<XmlRawAttribute> attributes_;  // of the last start tag
   int entered_depth_ = 0;  // EnterRecursion calls to undo on destruction
   bool done_ = false;
-  bool saw_root_ = false;  // doc mode: root start tag consumed
+  bool saw_root_ = false;  // root start tag consumed
   bool has_pending_end_ = false;  // self-closing: end event queued
   XmlEvent pending_end_;
   bool failed_ = false;

@@ -129,11 +129,11 @@ TEST_P(FuzzTest, XPathParserNeverCrashes) {
   }
 }
 
-// Mutants of a small DBLP document through both shred paths: the
-// streaming shredder's root-routed serial path and the whole-document
-// walk over ParseXml's DOM. They must accept and reject alike, agree
-// bit for bit when both accept, and a rejecting ShredStream must leave
-// no table and no dictionary entry behind.
+// Mutants of a small DBLP document through both shred paths: the schema
+// walk over the streamed document and the same walk over ParseXml's DOM.
+// They must accept and reject alike, agree bit for bit when both accept,
+// and a rejecting ShredStream must leave no table and no dictionary entry
+// behind.
 TEST_P(FuzzTest, ShredPathsAgreeOnMutants) {
   DblpConfig config;
   config.num_inproceedings = 12;

@@ -4,16 +4,17 @@
 // The central claim under test is *bit-identity*: ShredStream must leave
 // the Database — every cell tag and bit pattern, every dictionary code,
 // every sealed block — in exactly the state the DOM path (ParseXml +
-// ShredDocument) produces, at every thread count. The differential tests
-// hash the full database state and compare digests across DOM /
-// streaming × threads {1, 2, 4, 8}, over plain and transformed
-// (variant-choice, repetition-split) schemas. The index build is checked
-// against an independent Value-order reference.
+// ShredDocument) produces. The differential tests hash the full database
+// state and compare the two paths' digests over plain, transformed
+// (variant-choice, repetition-split), ambiguous-root and leaf-root
+// schemas. The index build is checked against an independent Value-order
+// reference.
 //
 // The failure-path tests assert the all-or-nothing contract: a parse
 // error mid-stream, a schema mismatch, a governor memory trip at a batch
 // boundary, or an injected shred.stream fault must leave the database
-// exactly as it was — no tables, no stray dictionary entries.
+// exactly as it was — no tables, no stray dictionary entries — and a
+// schema mismatch must name the DOM path's error.
 
 #include <algorithm>
 #include <cstdint>
@@ -97,14 +98,10 @@ uint64_t DomDigest(const Corpus& c, ShredStats* stats_out = nullptr) {
   return DatabaseDigest(db);
 }
 
-uint64_t StreamDigest(const Corpus& c, int threads,
-                      ShredStats* stats_out = nullptr) {
+uint64_t StreamDigest(const Corpus& c, ShredStats* stats_out = nullptr) {
   Database db;
-  StreamShredOptions options;
-  options.threads = threads;
-  auto stats = ShredStream(c.xml, *c.tree, *c.mapping, &db, options);
-  EXPECT_TRUE(stats.ok()) << "threads=" << threads << ": "
-                          << stats.status().ToString();
+  auto stats = ShredStream(c.xml, *c.tree, *c.mapping, &db);
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   if (stats_out != nullptr && stats.ok()) *stats_out = *stats;
   return DatabaseDigest(db);
 }
@@ -164,19 +161,6 @@ TEST(StreamParser, EventSequence) {
   EXPECT_EQ(got, want);
 }
 
-TEST(StreamParser, FragmentModeParsesSiblingSequence) {
-  StreamParseOptions options;
-  options.fragment = true;
-  XmlStreamParser parser("<a>1</a> <!-- gap --> <b/>", options);
-  Status error = Status::OK();
-  std::vector<XmlEvent> events = Drain(&parser, &error);
-  ASSERT_TRUE(error.ok()) << error.ToString();
-  ASSERT_EQ(events.size(), 5u);
-  EXPECT_EQ(events[0].name, "a");
-  EXPECT_EQ(events[3].name, "b");
-  EXPECT_EQ(events[4].kind, XmlEventKind::kEndElement);
-}
-
 // Both parsers accept exactly the same language: for a spread of valid
 // and malformed inputs, DOM parse success must equal stream drain
 // success.
@@ -234,31 +218,25 @@ TEST(StreamParser, DepthGuardTripsLikeDomParser) {
   EXPECT_EQ(error.code(), StatusCode::kResourceExhausted);
 }
 
-// --- Differential: DOM vs streaming, across thread counts ---------------
+// --- Differential: DOM vs streaming -------------------------------------
 
 TEST(StreamingShred, BitIdenticalToDomOnDblp) {
   Corpus corpus = DblpCorpus(350);
   ShredStats dom_stats;
   uint64_t dom = DomDigest(corpus, &dom_stats);
-  for (int threads : {1, 2, 4, 8}) {
-    ShredStats stream_stats;
-    uint64_t stream = StreamDigest(corpus, threads, &stream_stats);
-    EXPECT_EQ(dom, stream) << "threads=" << threads;
-    EXPECT_EQ(stream_stats.rows, dom_stats.rows);
-    EXPECT_EQ(stream_stats.elements, dom_stats.elements);
-  }
+  ShredStats stream_stats;
+  EXPECT_EQ(dom, StreamDigest(corpus, &stream_stats));
+  EXPECT_EQ(stream_stats.rows, dom_stats.rows);
+  EXPECT_EQ(stream_stats.elements, dom_stats.elements);
 }
 
 TEST(StreamingShred, BitIdenticalToDomOnMovie) {
   Corpus corpus = MovieCorpus(500);
-  uint64_t dom = DomDigest(corpus);
-  for (int threads : {1, 2, 4, 8}) {
-    EXPECT_EQ(dom, StreamDigest(corpus, threads)) << "threads=" << threads;
-  }
+  EXPECT_EQ(DomDigest(corpus), StreamDigest(corpus));
 }
 
 // Union distribution turns the root-level <movie> tag into a variant
-// choice, so streaming must route each top-level subtree by presence
+// choice, so the walker routes each streamed record by its presence
 // constraints; repetition split inside <movie> exercises occurrence
 // columns and the overflow relation.
 TEST(StreamingShred, BitIdenticalOnTransformedSchemas) {
@@ -280,17 +258,32 @@ TEST(StreamingShred, BitIdenticalOnTransformedSchemas) {
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
 
   Corpus corpus = MakeCorpus(std::move(data.tree), data.doc.ToXml());
-  uint64_t dom = DomDigest(corpus);
-  for (int threads : {1, 4}) {
-    EXPECT_EQ(dom, StreamDigest(corpus, threads)) << "threads=" << threads;
-  }
+  EXPECT_EQ(DomDigest(corpus), StreamDigest(corpus));
+}
+
+// A leaf root has no element children to stream: its one element is
+// built whole, and both paths store its one row.
+TEST(StreamingShred, BitIdenticalOnLeafRoot) {
+  auto tree = std::make_unique<SchemaTree>();
+  auto root = tree->NewTag("r");
+  root->set_annotation("r");
+  root->AddChild(tree->NewSimple(XsdBaseType::kString));
+  tree->SetRoot(std::move(root));
+  ASSERT_TRUE(tree->Validate().ok()) << tree->Validate();
+  Corpus corpus = MakeCorpus(std::move(tree), "<r>hello</r>");
+  ShredStats dom_stats;
+  uint64_t dom = DomDigest(corpus, &dom_stats);
+  ShredStats stream_stats;
+  EXPECT_EQ(dom, StreamDigest(corpus, &stream_stats));
+  EXPECT_EQ(dom_stats.rows, 1);
+  EXPECT_EQ(stream_stats.rows, 1);
+  EXPECT_EQ(stream_stats.elements, 1);
 }
 
 // r(r) -> a? , (a(a_items) | b(b_items))* : the tag name "a" appears in
-// two distinct root-level slots (an inlined option and a set-valued choice
-// alternative), so routing a top-level <a> subtree by name alone is
-// ambiguous. The shredder must detect this and fall back to
-// whole-document buffering — still bit-identical, never partitioned.
+// two distinct root-level particles (an inlined option and a set-valued
+// choice alternative), so which one a top-level <a> instantiates depends
+// on its position, not on its name alone.
 std::unique_ptr<SchemaTree> AmbiguousRootTree() {
   auto tree = std::make_unique<SchemaTree>();
   auto root = tree->NewTag("r");
@@ -318,19 +311,22 @@ std::unique_ptr<SchemaTree> AmbiguousRootTree() {
   return tree;
 }
 
+// The ambiguous root is matched by the one walker over the whole document
+// in order: the first <a> lands in the root row, later ones in a_items,
+// exactly as the DOM shredder routes them.
 TEST(StreamingShred, AmbiguousRootRoutingFallsBackToWholeDocument) {
   auto tree = AmbiguousRootTree();
   ASSERT_TRUE(tree->Validate().ok()) << tree->Validate();
   Corpus corpus =
       MakeCorpus(std::move(tree),
                  "<r><a>first</a><a>second</a><b>7</b><a>third</a></r>");
-  uint64_t dom = DomDigest(corpus);
-  for (int threads : {1, 4}) {
-    ShredStats stats;
-    EXPECT_EQ(dom, StreamDigest(corpus, threads, &stats))
-        << "threads=" << threads;
-    EXPECT_EQ(stats.partitions, 1) << "fallback must not partition";
-  }
+  ShredStats dom_stats;
+  uint64_t dom = DomDigest(corpus, &dom_stats);
+  ShredStats stream_stats;
+  EXPECT_EQ(dom, StreamDigest(corpus, &stream_stats));
+  EXPECT_EQ(stream_stats.rows, dom_stats.rows);
+  EXPECT_EQ(stream_stats.rows, 4);  // root row, two a_items, one b_items
+  EXPECT_EQ(stream_stats.elements, dom_stats.elements);
 }
 
 TEST(StreamingShred, StatsReportBatchAccounting) {
@@ -338,52 +334,29 @@ TEST(StreamingShred, StatsReportBatchAccounting) {
   ShredStats dom_stats;
   DomDigest(corpus, &dom_stats);
 
-  ShredStats serial;
-  StreamDigest(corpus, 1, &serial);
-  EXPECT_GT(serial.batches_emitted, 0);
-  EXPECT_GT(serial.peak_batch_bytes, 0);
-  EXPECT_GT(serial.transient_peak_bytes, 0);
-  EXPECT_EQ(serial.partitions, 1);
+  ShredStats stream_stats;
+  StreamDigest(corpus, &stream_stats);
+  EXPECT_GT(stream_stats.batches_emitted, 0);
+  EXPECT_GT(stream_stats.peak_batch_bytes, 0);
+  EXPECT_GT(stream_stats.transient_peak_bytes, 0);
   // The DOM path flushes through the same batch writer.
-  EXPECT_EQ(dom_stats.batches_emitted, serial.batches_emitted);
-  EXPECT_EQ(dom_stats.peak_batch_bytes, serial.peak_batch_bytes);
-
-  ShredStats parallel;
-  StreamDigest(corpus, 4, &parallel);
-  // Batch accounting is thread-count invariant; transient peak is not.
-  EXPECT_EQ(parallel.batches_emitted, serial.batches_emitted);
-  EXPECT_EQ(parallel.peak_batch_bytes, serial.peak_batch_bytes);
-  EXPECT_EQ(parallel.partitions, 4);
+  EXPECT_EQ(dom_stats.batches_emitted, stream_stats.batches_emitted);
+  EXPECT_EQ(dom_stats.peak_batch_bytes, stream_stats.peak_batch_bytes);
 }
 
-TEST(StreamingShred, MetricsAreThreadCountInvariant) {
+TEST(StreamingShred, MetricsReportTheIngest) {
   Corpus corpus = MovieCorpus(300);
-  auto collect = [&](int threads) {
-    Database db;
-    MetricsRegistry registry;
-    StreamShredOptions options;
-    options.threads = threads;
-    options.metrics = &registry;
-    auto stats = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping, &db,
-                             options);
-    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-    std::vector<int64_t> values = {
-        registry.counter(kMetricShredDocuments)->value(),
-        registry.counter(kMetricShredRows)->value(),
-        registry.counter(kMetricShredElements)->value(),
-        registry.counter(kMetricShredBatchesEmitted)->value(),
-        static_cast<int64_t>(
-            registry.gauge(kMetricShredPeakBatchBytes)->value()),
-    };
-    return values;
-  };
-  std::vector<int64_t> serial = collect(1);
-  EXPECT_EQ(serial[0], 1);  // shred.documents
-  EXPECT_GT(serial[1], 0);  // shred.rows
-  EXPECT_GT(serial[3], 0);  // shred.batches_emitted
-  EXPECT_GT(serial[4], 0);  // shred.peak_batch_bytes
-  EXPECT_EQ(collect(4), serial);
-  EXPECT_EQ(collect(8), serial);
+  Database db;
+  MetricsRegistry registry;
+  StreamShredOptions options;
+  options.metrics = &registry;
+  auto stats =
+      ShredStream(corpus.xml, *corpus.tree, *corpus.mapping, &db, options);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(registry.counter(kMetricShredDocuments)->value(), 1);
+  EXPECT_GT(registry.counter(kMetricShredRows)->value(), 0);
+  EXPECT_GT(registry.counter(kMetricShredBatchesEmitted)->value(), 0);
+  EXPECT_GT(registry.gauge(kMetricShredPeakBatchBytes)->value(), 0);
 }
 
 // --- Failure paths: all-or-nothing rollback -----------------------------
@@ -391,17 +364,14 @@ TEST(StreamingShred, MetricsAreThreadCountInvariant) {
 // Runs a failing ingest against a database with one pre-existing
 // dictionary entry and asserts nothing stuck.
 void ExpectRollback(const std::string& xml, const Corpus& corpus,
-                    int threads, StatusCode want_code) {
+                    StatusCode want_code) {
   Database db;
   db.mutable_dictionary()->Intern("zz_preexisting");
-  StreamShredOptions options;
-  options.threads = threads;
-  auto stats = ShredStream(xml, *corpus.tree, *corpus.mapping, &db, options);
-  ASSERT_FALSE(stats.ok()) << "threads=" << threads;
-  EXPECT_EQ(stats.status().code(), want_code)
-      << "threads=" << threads << ": " << stats.status().ToString();
-  EXPECT_TRUE(db.TableNames().empty()) << "threads=" << threads;
-  ASSERT_EQ(db.dictionary().size(), 1u) << "threads=" << threads;
+  auto stats = ShredStream(xml, *corpus.tree, *corpus.mapping, &db);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), want_code) << stats.status().ToString();
+  EXPECT_TRUE(db.TableNames().empty());
+  ASSERT_EQ(db.dictionary().size(), 1u);
   EXPECT_EQ(db.dictionary().str(0), "zz_preexisting");
 }
 
@@ -424,10 +394,8 @@ TEST(StreamingShred, MalformedXmlMidStreamRollsBackCleanly) {
       {"<not_the_root/>", StatusCode::kInvalidArgument},
   };
   for (const auto& [xml, code] : cases) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(xml);
-      ExpectRollback(xml, corpus, threads, code);
-    }
+    SCOPED_TRACE(xml);
+    ExpectRollback(xml, corpus, code);
   }
 }
 
@@ -457,30 +425,40 @@ TEST(StreamingShred, DomShredRollsBackCleanly) {
   expect_rollback(StatusCode::kInvalidArgument);
 }
 
-// A document whose only defect is structural (parses fine) must produce
-// the same error message as ShredDocument over its DOM, at every thread
-// count.
+// A document whose only defects are structural (it parses fine) must
+// produce the same error message as ShredDocument over its DOM: the
+// first one the walk meets in document order.
 TEST(StreamingShred, SchemaMismatchErrorsMatchDomShredder) {
   Corpus corpus = DblpCorpus(30);
-  const std::string root = corpus.tree->root()->name();
-  const std::string bad =
-      "<" + root + "><no_such_tag/></" + root + ">";
+  const XmlElement& dblp = *corpus.doc.root();
+  const std::string root = dblp.tag();
 
-  Database dom_db;
-  auto parsed = ParseXml(bad, ParseOptions{});
-  ASSERT_TRUE(parsed.ok());
-  auto dom = ShredDocument(*parsed, *corpus.tree, *corpus.mapping, &dom_db);
-  ASSERT_FALSE(dom.ok());
+  // One <book> ahead of every <inproceedings>, which the root's sequence
+  // (inproceedings*, book*) rejects, and an unknown child in the last
+  // <book>, which comes later in document order.
+  std::vector<const XmlElement*> books = dblp.FindChildren("book");
+  ASSERT_GE(books.size(), 2u);
+  std::string reordered = "<" + root + ">" + books[0]->ToXml();
+  for (const XmlElement* inproceedings : dblp.FindChildren("inproceedings")) {
+    reordered += inproceedings->ToXml();
+  }
+  for (size_t i = 1; i + 1 < books.size(); ++i) reordered += books[i]->ToXml();
+  std::string last = books.back()->ToXml();
+  last.insert(last.rfind("</book>"), "<bogus>x</bogus>");
+  reordered += last + "</" + root + ">";
 
-  for (int threads : {1, 4}) {
+  for (const std::string& bad :
+       {"<" + root + "><no_such_tag/></" + root + ">", reordered}) {
+    Database dom_db;
+    auto parsed = ParseXml(bad, ParseOptions{});
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    auto dom = ShredDocument(*parsed, *corpus.tree, *corpus.mapping, &dom_db);
+    ASSERT_FALSE(dom.ok());
+
     Database db;
-    StreamShredOptions options;
-    options.threads = threads;
-    auto stream = ShredStream(bad, *corpus.tree, *corpus.mapping, &db,
-                              options);
-    ASSERT_FALSE(stream.ok()) << "threads=" << threads;
-    EXPECT_EQ(stream.status().ToString(), dom.status().ToString())
-        << "threads=" << threads;
+    auto stream = ShredStream(bad, *corpus.tree, *corpus.mapping, &db);
+    ASSERT_FALSE(stream.ok());
+    EXPECT_EQ(stream.status().ToString(), dom.status().ToString());
   }
 }
 
@@ -490,135 +468,136 @@ TEST(StreamingShred, GovernorTripsAtExactBatchBoundary) {
   // Learn the exact memory the ingest charges (one batch at a time).
   ResourceGovernor unlimited;
   Database learn_db;
-  StreamShredOptions learn_options;
-  learn_options.threads = 1;
-  learn_options.governor = &unlimited;
+  StreamShredOptions options;
+  options.governor = &unlimited;
   auto learn = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping,
-                           &learn_db, learn_options);
+                           &learn_db, options);
   ASSERT_TRUE(learn.ok()) << learn.status().ToString();
   const int64_t charged = unlimited.memory_charged();
   ASSERT_GT(charged, 0);
   const uint64_t want = DatabaseDigest(learn_db);
 
-  for (int threads : {1, 4}) {
-    // Memory charges are replayed in flush order, so the charge total is
-    // thread-count invariant.
-    ResourceLimits exact;
-    exact.max_memory_bytes = charged;
-    ResourceGovernor ok_gov(exact);
-    Database ok_db;
-    StreamShredOptions options;
-    options.threads = threads;
-    options.governor = &ok_gov;
-    auto ok = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping, &ok_db,
-                          options);
-    ASSERT_TRUE(ok.ok()) << "threads=" << threads << ": "
-                         << ok.status().ToString();
-    EXPECT_EQ(ok_gov.memory_charged(), charged) << "threads=" << threads;
-    EXPECT_EQ(DatabaseDigest(ok_db), want) << "threads=" << threads;
+  // A cap of exactly the learned charge admits the ingest.
+  ResourceLimits exact;
+  exact.max_memory_bytes = charged;
+  ResourceGovernor ok_gov(exact);
+  Database ok_db;
+  options.governor = &ok_gov;
+  auto ok = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping, &ok_db,
+                        options);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok_gov.memory_charged(), charged);
+  EXPECT_EQ(DatabaseDigest(ok_db), want);
 
-    // One byte less trips on the final batch flush and rolls back.
-    ResourceLimits tight;
-    tight.max_memory_bytes = charged - 1;
-    ResourceGovernor trip_gov(tight);
-    Database trip_db;
-    trip_db.mutable_dictionary()->Intern("zz_preexisting");
-    options.governor = &trip_gov;
-    auto tripped = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping,
-                               &trip_db, options);
-    ASSERT_FALSE(tripped.ok()) << "threads=" << threads;
-    EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted)
-        << "threads=" << threads;
-    EXPECT_TRUE(trip_db.TableNames().empty()) << "threads=" << threads;
-    ASSERT_EQ(trip_db.dictionary().size(), 1u);
-    EXPECT_EQ(trip_db.dictionary().str(0), "zz_preexisting");
-  }
+  // One byte less trips on the final batch flush and rolls back.
+  ResourceLimits tight;
+  tight.max_memory_bytes = charged - 1;
+  ResourceGovernor trip_gov(tight);
+  Database trip_db;
+  trip_db.mutable_dictionary()->Intern("zz_preexisting");
+  options.governor = &trip_gov;
+  auto tripped = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping,
+                             &trip_db, options);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(trip_db.TableNames().empty());
+  ASSERT_EQ(trip_db.dictionary().size(), 1u);
+  EXPECT_EQ(trip_db.dictionary().str(0), "zz_preexisting");
 }
 
 TEST(StreamingShred, InjectedBatchFaultRollsBackAtEveryThreadCount) {
   Corpus corpus = DblpCorpus(200);
 
   // Count the shred.stream hits a clean ingest performs (one per batch
-  // flush); the schedule must be identical at every thread count.
-  auto hits_during = [&](int threads) {
+  // flush).
+  int total_hits = 0;
+  {
     ScopedFaultInjection scope(kFaultSiteShredStream, 1 << 30);
     int before = FaultInjector::Global()->hits(kFaultSiteShredStream);
     Database db;
-    StreamShredOptions options;
-    options.threads = threads;
-    auto stats = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping, &db,
-                             options);
-    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-    return FaultInjector::Global()->hits(kFaultSiteShredStream) - before;
-  };
-  const int total_hits = hits_during(1);
+    auto stats = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping, &db);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    total_hits = FaultInjector::Global()->hits(kFaultSiteShredStream) - before;
+  }
   ASSERT_GT(total_hits, 0);
-  EXPECT_EQ(hits_during(4), total_hits);
 
   // Firing on the first and on the last batch both roll back fully.
   for (int nth : {1, total_hits}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE("nth=" + std::to_string(nth) +
-                   " threads=" + std::to_string(threads));
-      ScopedFaultInjection scope(kFaultSiteShredStream, nth);
-      Database db;
-      db.mutable_dictionary()->Intern("zz_preexisting");
-      StreamShredOptions options;
-      options.threads = threads;
-      auto stats = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping,
-                               &db, options);
-      ASSERT_FALSE(stats.ok());
-      EXPECT_TRUE(db.TableNames().empty());
-      ASSERT_EQ(db.dictionary().size(), 1u);
-      EXPECT_EQ(db.dictionary().str(0), "zz_preexisting");
-    }
+    SCOPED_TRACE("nth=" + std::to_string(nth));
+    ScopedFaultInjection scope(kFaultSiteShredStream, nth);
+    Database db;
+    db.mutable_dictionary()->Intern("zz_preexisting");
+    auto stats = ShredStream(corpus.xml, *corpus.tree, *corpus.mapping, &db);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_TRUE(db.TableNames().empty());
+    ASSERT_EQ(db.dictionary().size(), 1u);
+    EXPECT_EQ(db.dictionary().str(0), "zz_preexisting");
   }
 }
 
 // --- Bounded memory -----------------------------------------------------
 
-// Replicating one fixed record N vs 10N times must leave the transient
-// peak EXACTLY unchanged: the peak is one buffered record plus the batch
-// buffers, independent of document length.
+// Streams `<root>` + head + n copies of unit + `</root>` under `tree`,
+// checks the database against the DOM path's, and returns the stream's
+// stats.
+ShredStats StreamRepeated(const SchemaTree& tree, const Mapping& mapping,
+                          const std::string& head, const std::string& unit,
+                          int n) {
+  const std::string root = tree.root()->name();
+  std::string xml = "<" + root + ">" + head;
+  for (int i = 0; i < n; ++i) xml += unit;
+  xml += "</" + root + ">";
+  SCOPED_TRACE("<" + root + "> n=" + std::to_string(n));
+
+  Database db;
+  auto stats = ShredStream(xml, tree, mapping, &db);
+  EXPECT_TRUE(stats.ok()) << stats.status();
+  if (!stats.ok()) return ShredStats{};
+  auto doc = ParseXml(xml);
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  if (!doc.ok()) return ShredStats{};
+  Database dom_db;
+  auto dom = ShredDocument(*doc, tree, mapping, &dom_db);
+  EXPECT_TRUE(dom.ok()) << dom.status();
+  EXPECT_EQ(DatabaseDigest(db), DatabaseDigest(dom_db));
+  return *stats;
+}
+
+// Replicating a fixed run of records N vs 10N times must leave the
+// transient peak EXACTLY unchanged: the peak is one buffered record plus
+// the batch buffers, independent of document length. That holds for the
+// ambiguous root too (AmbiguousRootTree, first <a> inlined, the rest in
+// the repetition), since the walker matches the root's children in
+// document order as they stream past.
 TEST(StreamingShred, TransientPeakIsFlatAcrossDocumentSize) {
   MovieConfig config;
   config.num_movies = 1;
   config.tv_fraction = 0.0;
   GeneratedData data = GenerateMovie(config);
   const std::string record = data.doc.root()->children()[0]->ToXml();
-  const std::string root = data.tree->root()->name();
-
-  auto make_doc = [&](int n) {
-    std::string xml = "<" + root + ">";
-    for (int i = 0; i < n; ++i) xml += record;
-    xml += "</" + root + ">";
-    return xml;
-  };
   auto mapping = Mapping::Build(*data.tree);
   ASSERT_TRUE(mapping.ok());
 
-  auto shred = [&](const std::string& xml, ShredStats* stats_out) {
-    Database db;
-    auto stats = ShredStream(xml, *data.tree, *mapping, &db,
-                             StreamShredOptions{});
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    *stats_out = *stats;
-    return;
-  };
-
-  const std::string small_doc = make_doc(800);
-  const std::string big_doc = make_doc(8000);
-  ShredStats small_stats, big_stats;
-  shred(small_doc, &small_stats);
-  shred(big_doc, &big_stats);
-
-  EXPECT_EQ(big_stats.rows, small_stats.rows * 10 - 9)  // shared root row
+  ShredStats small = StreamRepeated(*data.tree, *mapping, "", record, 800);
+  ShredStats big = StreamRepeated(*data.tree, *mapping, "", record, 8000);
+  EXPECT_EQ(big.rows, small.rows * 10 - 9)  // shared root row
       << "rows must scale with the document";
-  EXPECT_EQ(big_stats.transient_peak_bytes, small_stats.transient_peak_bytes)
+  EXPECT_EQ(big.transient_peak_bytes, small.transient_peak_bytes)
       << "peak ingest memory must not grow with document size";
-  EXPECT_LT(big_stats.transient_peak_bytes,
-            static_cast<int64_t>(big_doc.size()))
+  EXPECT_LT(big.transient_peak_bytes,
+            static_cast<int64_t>(record.size()) * 8000)
       << "peak must stay below the document itself";
+
+  auto tree = AmbiguousRootTree();
+  ASSERT_TRUE(tree->Validate().ok()) << tree->Validate();
+  auto ambiguous = Mapping::Build(*tree);
+  ASSERT_TRUE(ambiguous.ok()) << ambiguous.status();
+  const std::string head = "<a>first</a>";
+  const std::string unit = "<a>second</a><b>7</b>";
+  small = StreamRepeated(*tree, *ambiguous, head, unit, 100);
+  big = StreamRepeated(*tree, *ambiguous, head, unit, 1000);
+  EXPECT_EQ(big.rows, small.rows * 10 - 9);  // root row holds the first <a>
+  EXPECT_EQ(big.transient_peak_bytes, small.transient_peak_bytes);
 }
 
 // --- Index build -------------------------------------------------------
