@@ -10,19 +10,11 @@
 // byte-stable across machines and CI can diff it with
 // tools/compare_bench.py --rel-tol 0 (any drift in metering or results
 // is a behavioural regression, not noise).
-//
-// `--exec-threads-sweep` switches to the parallel-execution sweep: each
-// micro runs at 1/2/4/8 morsel workers (ExecOptions::exec_threads),
-// asserts rows/work/pages identical at every count, and records
-// per-count wall clock for bench_results/BENCH_parallel_exec.json (CI
-// strips the timing keys before diffing).
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -81,10 +73,6 @@ struct EngineFixture {
   }
 
   ExecMetrics RunSql(const std::string& sql) {
-    return RunSqlThreads(sql, /*threads=*/1);
-  }
-
-  ExecMetrics RunSqlThreads(const std::string& sql, int threads) {
     auto parsed = ParseSql(sql);
     XS_CHECK_OK(parsed.status());
     auto bound = BindQuery(*parsed, catalog);
@@ -93,9 +81,7 @@ struct EngineFixture {
     XS_CHECK_OK(planned.status());
     Executor executor(db);
     ExecMetrics metrics;
-    ExecOptions options;
-    options.exec_threads = threads;
-    auto rows = executor.Run(*planned->root, &metrics, options);
+    auto rows = executor.Run(*planned->root, &metrics);
     XS_CHECK_OK(rows.status());
     return metrics;
   }
@@ -280,80 +266,14 @@ MicroResult StatsDerivationMicro() {
   return out;
 }
 
-// ---------------------------------------------------------------------
-// --exec-threads sweep: each micro runs the same plan at 1/2/4/8 morsel
-// workers. The deterministic observables (rows, work, pages) are
-// XS_CHECKed equal across thread counts — the executor's bit-identity
-// contract — and recorded once; per-thread-count wall clock, speedup, and
-// iteration counts are informational timing keys (CI strips every
-// "wall_ms_*" / "speedup_*" / "iterations_*" / "hardware_threads" key
-// before diffing against the committed baseline, since they depend on the
-// machine).
-
-constexpr int kSweepThreads[] = {1, 2, 4, 8};
-
-MicroResult SweepMicro(const std::string& name, const std::string& sql) {
-  EngineFixture& f = Fixture();
-  MicroResult out;
-  out.name = name;
-  ExecMetrics base = f.RunSqlThreads(sql, 1);
-  out.values = {{"rows", static_cast<double>(base.rows_out)},
-                {"work", base.work},
-                {"pages_sequential", base.pages_sequential},
-                {"pages_random", base.pages_random},
-                {"blocks_scanned", static_cast<double>(base.blocks_scanned)},
-                {"blocks_skipped", static_cast<double>(base.blocks_skipped)}};
-  double wall_t1 = 0;
-  for (int threads : kSweepThreads) {
-    ExecMetrics m = f.RunSqlThreads(sql, threads);
-    XS_CHECK(m.rows_out == base.rows_out);
-    XS_CHECK(m.work == base.work);
-    XS_CHECK(m.pages_sequential == base.pages_sequential);
-    XS_CHECK(m.pages_random == base.pages_random);
-    XS_CHECK(m.blocks_scanned == base.blocks_scanned);
-    XS_CHECK(m.blocks_skipped == base.blocks_skipped);
-    Timing timed = TimeRepeated([&] { f.RunSqlThreads(sql, threads); });
-    std::string suffix = "_t" + std::to_string(threads);
-    double wall_ms = timed.ns_per_iter / 1e6;
-    if (threads == 1) wall_t1 = wall_ms;
-    out.values.emplace_back("wall_ms" + suffix, wall_ms);
-    out.values.emplace_back("speedup" + suffix,
-                            wall_ms > 0 ? wall_t1 / wall_ms : 0);
-    out.values.emplace_back("iterations" + suffix,
-                            static_cast<double>(timed.iterations));
-    if (threads == 1) out.timing = timed;
-  }
-  return out;
-}
-
-std::vector<MicroResult> BuildSweepMicros() {
-  std::vector<MicroResult> micros;
-  micros.push_back(SweepMicro("par_heap_scan",
-                              "SELECT pages FROM inproc WHERE year >= 1985"));
-  micros.push_back(SweepMicro(
-      "par_hash_join",
-      "SELECT I.pages, A.author FROM inproc I, inproc_author A "
-      "WHERE I.ID = A.PID"));
-  micros.push_back(SweepMicro(
-      "par_aggregate",
-      "SELECT COUNT(*), SUM(year), MIN(title), MAX(year) FROM inproc"));
-  micros.push_back(SweepMicro("par_sort",
-                              "SELECT title, year FROM inproc ORDER BY 2, 1"));
-  return micros;
-}
-
-void WriteJson(const std::string& path, const std::vector<MicroResult>& micros,
-               const char* bench_name, bool with_hardware_threads) {
+void WriteJson(const std::string& path,
+               const std::vector<MicroResult>& micros) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench_name);
-  if (with_hardware_threads) {
-    std::fprintf(f, "  \"hardware_threads\": %u,\n",
-                 std::thread::hardware_concurrency());
-  }
+  std::fprintf(f, "{\n  \"bench\": \"engine_micro\",\n");
   std::fprintf(f, "  \"micros\": [\n");
   for (size_t i = 0; i < micros.size(); ++i) {
     const MicroResult& m = micros[i];
@@ -372,41 +292,9 @@ int Main(int argc, char** argv) {
   const BenchFlags flags = ExtractBenchFlags(&argc, argv);
   const std::string& metrics_out = flags.metrics_out;
   const std::string& json_path = flags.json_path;
-  bool sweep = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--exec-threads-sweep") {
-      sweep = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--exec-threads-sweep] [--json out.json]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-
-  if (sweep) {
-    PrintTitle("Parallel execution sweep",
-               "same plan at 1/2/4/8 morsel workers; rows/work/pages are "
-               "checked identical, wall-clock keys are machine-dependent");
-    std::vector<MicroResult> micros = BuildSweepMicros();
-    PrintRow({"micro", "wall t1", "t2", "t4", "t8", "work"});
-    for (const MicroResult& m : micros) {
-      auto value_of = [&](const std::string& key) -> std::string {
-        for (const auto& [k, v] : m.values) {
-          if (k == key) return FormatDouble(v, 2);
-        }
-        return "-";
-      };
-      PrintRow({m.name, value_of("wall_ms_t1") + " ms",
-                value_of("wall_ms_t2") + " ms", value_of("wall_ms_t4") + " ms",
-                value_of("wall_ms_t8") + " ms", value_of("work")});
-    }
-    if (!json_path.empty()) {
-      WriteJson(json_path, micros, "parallel_exec",
-                /*with_hardware_threads=*/true);
-    }
-    WriteMetricsOut(metrics_out);
-    return 0;
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s [--json out.json]\n", argv[0]);
+    return 2;
   }
 
   PrintTitle("Engine microbenchmarks",
@@ -437,6 +325,20 @@ int Main(int argc, char** argv) {
   micros.push_back(ShreddingMicro());
   micros.push_back(StatisticsCollectionMicro());
   micros.push_back(StatsDerivationMicro());
+  // Whole-table operator shapes: a scan keeping most rows, an equi-join
+  // with no filter, a scalar aggregate, and a two-key sort of rows that
+  // arrive out of order.
+  micros.push_back(
+      QueryMicro("heap_scan", "SELECT pages FROM inproc WHERE year >= 1985"));
+  micros.push_back(QueryMicro(
+      "hash_join_unfiltered",
+      "SELECT I.pages, A.author FROM inproc I, inproc_author A "
+      "WHERE I.ID = A.PID"));
+  micros.push_back(QueryMicro(
+      "aggregate",
+      "SELECT COUNT(*), SUM(year), MIN(title), MAX(year) FROM inproc"));
+  micros.push_back(
+      QueryMicro("sort", "SELECT title, year FROM inproc ORDER BY 2, 1"));
 
   PrintRow({"micro", "wall/iter", "iters", "work", "rows"});
   for (const MicroResult& m : micros) {
@@ -455,8 +357,7 @@ int Main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    WriteJson(json_path, micros, "engine_micro",
-              /*with_hardware_threads=*/false);
+    WriteJson(json_path, micros);
   }
   WriteMetricsOut(metrics_out);
   return 0;

@@ -24,10 +24,10 @@
 // The chaos runs additionally serve with full telemetry on (DESIGN.md
 // §15): windowed time-series, 1-in-8 head-sampled request traces, and a
 // flight recorder capturing post-mortems on sheds / governor trips /
-// fault firings. `--threads N` sets the manager's exec thread count and
-// the exports must stay bit-identical at any N — CI runs t=1 vs t=4 and
-// byte-compares `--timeseries-out`, `--traces-out`, `--events-out`, and
-// the `--postmortem-dir` bundles.
+// fault firings. Both chaos runs must export bit-identical documents;
+// `--timeseries-out`, `--traces-out`, `--events-out`, and
+// `--postmortem-dir` write the first run's, and --json carries their
+// digests.
 
 #include <algorithm>
 #include <cstdio>
@@ -189,8 +189,8 @@ struct ChaosTelemetry {
 // faults at every serve.* and engine fault site, per-request deadlines,
 // finite session budgets, and an epoch-publishing append every 20
 // arrivals. Deterministic in the fixed seed — including every telemetry
-// export, at any exec thread count.
-SoakReport RunChaos(const ServingFixture& fixture, int exec_threads,
+// export.
+SoakReport RunChaos(const ServingFixture& fixture,
                     ChaosTelemetry* telemetry_out) {
   std::unique_ptr<Database> db = fixture.MakeDb();
   ServeConfig config;
@@ -198,7 +198,6 @@ SoakReport RunChaos(const ServingFixture& fixture, int exec_threads,
   config.queue_capacity = kQueueCapacity;
   config.global_work_budget = 10.0 * fixture.mean_work;
   config.session_work_budget = 30.0 * fixture.mean_work;
-  config.exec_threads = exec_threads;
   config.telemetry.window_width = 5.0 * fixture.mean_work;
   config.telemetry.trace_sample_period = 8;
   config.telemetry.rng_seed = 0xc4a05;  // == options.seed: replayable set
@@ -339,7 +338,7 @@ void WriteJson(const std::string& path, const ServingFixture& fixture,
                static_cast<long long>(chaos.append_failures),
                runs_identical ? 1 : 0);
   // Every telemetry observable below is virtual-time deterministic, so
-  // this block is byte-stable across runs AND across --threads settings.
+  // this block is byte-stable across runs.
   std::fprintf(f,
                "    \"telemetry\": {\"windows\": %zu, "
                "\"timeseries_digest\": \"%s\", \"sampled_traces\": %zu, "
@@ -368,18 +367,15 @@ int Main(int argc, char** argv) {
   const BenchFlags flags = ExtractBenchFlags(&argc, argv);
   const std::string& metrics_out = flags.metrics_out;
   const std::string& json_path = flags.json_path;
-  const std::string threads_arg = ExtractStringFlag(&argc, argv, "--threads");
   const std::string timeseries_out =
       ExtractStringFlag(&argc, argv, "--timeseries-out");
   const std::string traces_out = ExtractStringFlag(&argc, argv, "--traces-out");
   const std::string events_out = ExtractStringFlag(&argc, argv, "--events-out");
   const std::string postmortem_dir =
       ExtractStringFlag(&argc, argv, "--postmortem-dir");
-  const int exec_threads =
-      threads_arg.empty() ? 1 : std::atoi(threads_arg.c_str());
   if (argc > 1) {
     std::fprintf(stderr,
-                 "usage: %s [--json out.json] [--threads N] "
+                 "usage: %s [--json out.json] "
                  "[--timeseries-out f.jsonl] [--traces-out f.jsonl] "
                  "[--events-out f.jsonl] [--postmortem-dir dir]\n",
                  argv[0]);
@@ -412,8 +408,8 @@ int Main(int argc, char** argv) {
   // manager each) and require bit-identical counters AND bit-identical
   // telemetry exports (windows, sampled traces, events, post-mortems).
   ChaosTelemetry telem1, telem2;
-  SoakReport chaos1 = RunChaos(fixture, exec_threads, &telem1);
-  SoakReport chaos2 = RunChaos(fixture, exec_threads, &telem2);
+  SoakReport chaos1 = RunChaos(fixture, &telem1);
+  SoakReport chaos2 = RunChaos(fixture, &telem2);
   bool runs_identical = chaos1.CountersDigest() == chaos2.CountersDigest();
   XS_CHECK(telem1.timeseries_digest == telem2.timeseries_digest);
   XS_CHECK(telem1.traces_digest == telem2.traces_digest);
@@ -443,9 +439,9 @@ int Main(int argc, char** argv) {
       static_cast<long long>(chaos1.append_failures),
       runs_identical ? "yes" : "NO");
   std::printf(
-      "telemetry (threads=%d): %zu windows [%s], %zu traces [%s], "
+      "telemetry: %zu windows [%s], %zu traces [%s], "
       "%zu events [%s], %zu post-mortems (%zu shed) [%s], 0 clock reads\n",
-      exec_threads, telem1.windows, telem1.timeseries_digest.c_str(),
+      telem1.windows, telem1.timeseries_digest.c_str(),
       telem1.sampled_traces, telem1.traces_digest.c_str(), telem1.events,
       telem1.events_digest.c_str(), telem1.postmortems,
       telem1.shed_postmortems, telem1.postmortem_digest.c_str());

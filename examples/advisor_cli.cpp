@@ -2,7 +2,7 @@
 //
 //   example_advisor_cli --schema file.xsd|file.dtd --data file.xml
 //       --workload queries.txt [--algorithm greedy|naive|two-step|hybrid]
-//       [--space-multiple 3.0] [--threads N] [--exec-threads N]
+//       [--space-multiple 3.0] [--threads N]
 //       [--execute] [--metrics-out metrics.json] [--trace-out trace.json]
 //       [--explain-out explain.json] [--explain-timing]
 //       [--report-out report.json]
@@ -11,11 +11,7 @@
 // default, uses every hardware thread; 1 costs them on the calling
 // thread). The
 // chosen design is identical at any thread count — see DESIGN.md §8.
-//
-// --exec-threads N runs each executed query's scans, hash joins, sorts,
-// and aggregates on N morsel workers (1, the default, runs the same
-// morsels on the calling thread). Result rows, metrics, and explain
-// actuals are bit-identical at any value — see DESIGN.md §13.
+// Executed queries run on the calling thread (DESIGN.md §13).
 //
 // The workload file holds one XPath query per line, optionally prefixed
 // by a weight ("4.0 //movie[year >= 1998]/(title | box_office)"); '#'
@@ -107,7 +103,7 @@ int Usage() {
       stderr,
       "usage: example_advisor_cli --schema FILE.{xsd,dtd} --data FILE.xml\n"
       "       --workload FILE [--algorithm greedy|naive|two-step|hybrid]\n"
-      "       [--space-multiple F] [--threads N] [--exec-threads N]\n"
+      "       [--space-multiple F] [--threads N]\n"
       "       [--execute]\n"
       "       [--metrics-out FILE.json] [--trace-out FILE.json]\n"
       "       [--trace-sample N]\n"
@@ -128,7 +124,6 @@ struct CliOptions {
   std::string algorithm = "greedy";
   double space_multiple = 3.0;
   int threads = 0;  // 0 = one worker per hardware thread
-  int exec_threads = 1;  // morsel workers per executed query; 1 = serial
   bool execute = false;
   std::string metrics_out;
   std::string trace_out;
@@ -240,7 +235,6 @@ Status RunTool(const CliOptions& cli) {
                   !cli.report_out.empty();
   if (evaluate) {
     EvaluateOptions eval_options;
-    eval_options.exec_threads = cli.exec_threads;
     eval_options.collect_explain = !cli.explain_out.empty();
     eval_options.capture_timing = cli.explain_timing;
     XS_ASSIGN_OR_RETURN(
@@ -330,14 +324,6 @@ int main(int argc, char** argv) {
       cli.threads = static_cast<int>(std::strtol(value, &end, 10));
       if (end == value || *end != '\0' || cli.threads < 0) {
         std::fprintf(stderr, "--threads: bad count '%s'\n", value);
-        return 2;
-      }
-    } else if (!std::strcmp(argv[i], "--exec-threads")) {
-      const char* value = next("--exec-threads");
-      char* end = nullptr;
-      cli.exec_threads = static_cast<int>(std::strtol(value, &end, 10));
-      if (end == value || *end != '\0' || cli.exec_threads < 0) {
-        std::fprintf(stderr, "--exec-threads: bad count '%s'\n", value);
         return 2;
       }
     } else if (!std::strcmp(argv[i], "--metrics-out")) {

@@ -57,10 +57,9 @@ inline constexpr const char* kFaultSiteServeEpochPublish =
     "serve.epoch_publish";
 inline constexpr const char* kFaultSiteServeMidQuery = "serve.mid_query";
 // Executor morsel boundary (src/exec): checked once per kMorselRows rows
-// on the heap-scan, view-scan, hash-join-probe, and aggregate loops. The
-// check runs on the coordinator thread in strict enumeration order at
-// every thread count, so an armed nth-hit fault fires at the same morsel
-// regardless of ExecOptions::exec_threads.
+// on the heap-scan, view-scan, hash-join-probe, and aggregate loops, as
+// each loop reaches the morsel and before it reads the morsel's rows, so
+// an armed nth-hit fault stops the nth morsel.
 inline constexpr const char* kFaultSiteExecMorsel = "exec.morsel";
 // Shredder batch boundary (src/mapping/stream_shredder.cc, ShredStream
 // and ShredDocument alike): checked once per columnar batch flushed into

@@ -124,7 +124,7 @@ inline constexpr const char* kMetricServeFaultsInjected =
     "serve.faults_injected";
 // Block storage (DESIGN.md §14): blocks a run's sequential scans touched
 // vs. pruned by zone maps (counted once per scan, at layout time, before
-// any data is read — identical at any thread count).
+// any data is read).
 inline constexpr const char* kMetricStorageBlocksScanned =
     "storage.blocks_scanned";
 inline constexpr const char* kMetricStorageBlocksSkipped =

@@ -2,10 +2,9 @@
 //
 // RunReport merges SearchTelemetry (on SearchResult) and the
 // anytime/rollback counters (on TunerResult) into one sectioned struct
-// returned by every search algorithm (SearchResult::report) and by the
-// advisor (TunerResult::ToReport()), populated from the per-run metrics
-// registry rather than hand-maintained counters (see
-// RunReportFromMetrics).
+// returned by every search algorithm (SearchResult::report), populated
+// from the per-run metrics registry rather than hand-maintained counters
+// (see RunReportFromMetrics).
 //
 // Determinism: every integer field is bit-identical at any thread count
 // for non-truncated runs; `elapsed_seconds` and `work_spent` (FP sums)

@@ -7,14 +7,14 @@
 // callers write each task's output into a pre-assigned slot and reduce
 // the slots in submission order.
 //
-// ParallelFor is the one way the library schedules parallel work: the
-// search's candidate costing (search/greedy.cc, DESIGN.md §8) and the
-// executor's morsel-driven operators (exec/executor.cc, DESIGN.md §13).
-// It runs fn(0..n-1) inline on the calling thread when the pool would
-// have a single worker (no threads are spawned, no mutex is taken), and
-// on the pool otherwise, so callers never branch on the thread count. A
-// `stop` predicate lets callers skip tasks that have not started once the
-// run is doomed (a tripped budget, a cancelled query).
+// ParallelFor is the one way the library schedules parallel work, and
+// its one caller is the search's candidate costing (search/greedy.cc,
+// DESIGN.md §8); query execution is serial (DESIGN.md §13). It runs
+// fn(0..n-1) inline on the calling thread when the pool would have a
+// single worker (no threads are spawned, no mutex is taken), and on the
+// pool otherwise, so callers never branch on the thread count. A `stop`
+// predicate lets callers skip tasks that have not started once the run
+// is doomed (a tripped budget).
 
 #ifndef XMLSHRED_COMMON_THREAD_POOL_H_
 #define XMLSHRED_COMMON_THREAD_POOL_H_

@@ -4,14 +4,12 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <numeric>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "exec/explain.h"
 #include "opt/cost_model.h"
 #include "rel/column_reader.h"
@@ -432,7 +430,7 @@ size_t ApplyPredBatch(const uint8_t* tags, const uint64_t* data, size_t cnt,
 // when no cell in it can satisfy the predicate (string *range* ops
 // compare mutable dictionary ranks, so they only refute blocks with no
 // string cells at all). The probe set is a pure function of the compiled
-// predicates, hence identical in both read modes and at any thread count.
+// predicates.
 std::vector<ColumnProbe> MakeZoneProbes(
     const std::vector<CompiledPred>& preds) {
   using Op = CompiledPred::Op;
@@ -533,40 +531,9 @@ uint64_t MixJoinKey(uint8_t cls, uint64_t bits) {
   return x;
 }
 
-size_t NumMorsels(size_t n) {
-  return (n + kMorselRows - 1) / kMorselRows;
-}
-
-// Per-morsel worker output for row loops. Workers are pure functions of
-// their [m*kMorselRows, (m+1)*kMorselRows) input range: they write cells
-// here and touch no shared state, so the coordinator can replay the
-// interrupt checks in enumeration order afterwards and hand the slots on
-// in that order.
-struct MorselSlot {
-  std::vector<Cell> cells;
-  size_t num_rows = 0;
-  bool started = false;
-};
-
-// The slots' rows, in morsel order, as the parts of one RowSet read
-// through identity maps; empty slots are dropped and no cell is copied.
-// Slots follow morsels and spans, so the parts are the same at every
-// thread count.
-RowSet SlotsAsParts(int width, std::vector<MorselSlot>* slots) {
-  RowSet out;
-  out.width = width;
-  for (MorselSlot& s : *slots) {
-    if (s.num_rows > 0) {
-      out.AppendWhole(Chunk{width, s.num_rows, std::move(s.cells)});
-    }
-  }
-  return out;
-}
-
 // One aggregate accumulator. Aggregation is defined as per-morsel
-// partials merged in morsel order at every thread count, so
-// floating-point sums are reproducible by construction: the reduction
-// tree depends only on the input, never on scheduling.
+// partials folded in morsel order, so the rounding of a floating-point
+// SUM is a function of the input alone.
 struct AggAcc {
   int64_t count = 0;
   int64_t isum = 0;       // exact integer sum (no reals seen)
@@ -666,8 +633,7 @@ class ExecState {
         capture_timing_(options.capture_timing),
         snapshot_(options.snapshot),
         cancel_(options.cancel),
-        faults_(options.faults),
-        num_threads_(options.exec_threads) {}
+        faults_(options.faults) {}
 
   // Executes one node. When `en` is non-null (EXPLAIN ANALYZE), the
   // subtree's actuals are recorded into it as inclusive deltas of the
@@ -755,8 +721,8 @@ class ExecState {
     return Internal("unknown plan kind");
   }
 
-  // Appends `in`'s rows, in its order, to one chunk reserved once. It
-  // runs on the coordinator: appending leaves no cell to be zeroed first.
+  // Appends `in`'s rows, in its order, to one chunk reserved once;
+  // appending leaves no cell to be zeroed first.
   static Chunk WriteRows(const RowSet& in) {
     Chunk out;
     out.width = in.width;
@@ -823,64 +789,19 @@ class ExecState {
     return Status::OK();
   }
 
-  // Batch-boundary poll for morsel-structured loops (heap/view scans,
-  // hash-join probe, aggregate): the exec.morsel fault site fires once
-  // per morsel, then the usual interrupts. Always called by the
-  // coordinator after the workers, in strict enumeration order of `base`,
-  // so an armed fault's nth hit lands on the same morsel at any thread
-  // count.
-  Status CheckScanBoundary(size_t base) {
-    if (base % kMorselRows == 0 && faults_ != nullptr) {
-      XS_RETURN_IF_ERROR(faults_->Check(kFaultSiteExecMorsel));
-    }
-    return CheckBatchInterrupts();
-  }
-
-  // Workers poll this to skip speculative work once the run is doomed.
-  // Purely an optimization: correctness comes from the replay below.
-  std::function<bool()> StopPredicate() const {
-    const std::atomic<bool>* cancel = cancel_;
-    const ResourceGovernor* governor = governor_;
-    if (cancel == nullptr && governor == nullptr) return nullptr;
-    return [cancel, governor] {
-      return (cancel != nullptr &&
-              cancel->load(std::memory_order_relaxed)) ||
-             (governor != nullptr && governor->exhausted());
-    };
-  }
-
-  // Replays the per-batch interrupt checks of a row loop over `n` input
-  // rows after a ParallelFor over its morsel slots, in enumeration order.
-  // All of an operator's charges precede the dispatch, so the
-  // coordinator performing every check (and the workers performing none)
-  // keeps metering, fault hit counts, and trip points independent of the
-  // thread count.
-  Status ReplayScanChecks(size_t n, const std::vector<MorselSlot>& slots) {
-    for (size_t base = 0; base < n; base += kScanBatchRows) {
-      XS_RETURN_IF_ERROR(CheckScanBoundary(base));
-      if (!slots[base / kMorselRows].started) {
-        // No charges happen while workers run, so the governor cannot
-        // newly trip mid-dispatch; only cooperative cancellation leaves
-        // a morsel unstarted.
-        return ResourceExhausted("query cancelled");
+  // Polls the batch boundaries of input rows [lo, hi) of a
+  // morsel-structured loop (heap and view scans, hash-join probe,
+  // aggregate) as the loop reaches them, before it reads a row: one poll
+  // per kScanBatchRows rows, firing the exec.morsel fault site first when
+  // the boundary starts a kMorselRows morsel. A scan span's lo is
+  // block-aligned, so the site fires once per *scanned* block; skipped
+  // blocks are never visited.
+  Status CheckMorsel(size_t lo, size_t hi) {
+    for (size_t base = lo; base < hi; base += kScanBatchRows) {
+      if (base % kMorselRows == 0 && faults_ != nullptr) {
+        XS_RETURN_IF_ERROR(faults_->Check(kFaultSiteExecMorsel));
       }
-    }
-    return Status::OK();
-  }
-
-  // Span-structured variant for block-skipping sequential scans: slot m
-  // holds span m's output. Every span's lo is block-aligned, so the
-  // exec.morsel fault site fires exactly once per *scanned* block, in
-  // span order — skipped blocks are never visited. Within a span the
-  // batch checks replay at the kScanBatchRows cadence.
-  Status ReplaySpanChecks(const std::vector<ScanSpan>& spans,
-                          const std::vector<MorselSlot>& slots) {
-    for (size_t m = 0; m < spans.size(); ++m) {
-      for (int64_t base = spans[m].lo; base < spans[m].hi;
-           base += static_cast<int64_t>(kScanBatchRows)) {
-        XS_RETURN_IF_ERROR(CheckScanBoundary(static_cast<size_t>(base)));
-        if (!slots[m].started) return ResourceExhausted("query cancelled");
-      }
+      XS_RETURN_IF_ERROR(CheckBatchInterrupts());
     }
     return Status::OK();
   }
@@ -891,8 +812,8 @@ class ExecState {
   // pinned snapshot — the snapshot's publish-time byte counts already fix
   // the page charge, and a bound mid-block would make partial blocks
   // unprunable anyway — so pinned readers scan [0, visible) exactly as
-  // before. All charges happen here, before any data is read, preserving
-  // the charge-then-scan discipline the morsel protocol relies on.
+  // before. All charges happen here, before any data is read, so a trip
+  // stops the scan before it reads a block.
   Result<ScanLayout> ChargeAndLayoutScan(const std::string& name,
                                          const Table& table,
                                          const std::vector<ColumnProbe>&
@@ -1002,8 +923,7 @@ class ExecState {
         ChargeAndLayoutScan(node.object_name, *table, MakeZoneProbes(preds)));
 
     // Cursor per unique column the scan touches: predicate columns
-    // first, then output columns. Workers construct their own cursor
-    // sets (the decode scratch is per-cursor state).
+    // first, then output columns.
     std::vector<int> cursor_cols;
     auto cursor_of = [&cursor_cols](int col) {
       for (size_t i = 0; i < cursor_cols.size(); ++i) {
@@ -1021,55 +941,52 @@ class ExecState {
       out_cur.push_back(cursor_of(slot.column));
     }
 
-    // One slot per span. A span lies within one block, so each predicate
-    // runs column-at-a-time over the whole span into `sel` (dense first
-    // pass, in-place compaction for later conjuncts), and only then are
-    // the survivors' output cells gathered, into a slot allocated once at
-    // its exact size.
-    std::vector<MorselSlot> slots(layout.spans.size());
-    ParallelFor(
-        num_threads_, static_cast<int>(slots.size()),
-        [&](int m) {
-          MorselSlot& s = slots[static_cast<size_t>(m)];
-          s.started = true;
-          ScanSpan span = layout.spans[static_cast<size_t>(m)];
-          size_t base = static_cast<size_t>(span.lo);
-          size_t lim = static_cast<size_t>(span.hi - span.lo);
-          size_t block = base / kStorageBlockRows;
-          std::vector<BlockCursor> cursors;
-          cursors.reserve(cursor_cols.size());
-          for (int c : cursor_cols) {
-            cursors.emplace_back(table->column(c));
-          }
-          std::vector<int32_t> sel(lim);
-          size_t cnt = lim;
-          if (preds.empty()) std::iota(sel.begin(), sel.end(), 0);
-          for (size_t k = 0; k < preds.size() && cnt > 0; ++k) {
-            BlockView v =
-                cursors[static_cast<size_t>(pred_cur[k])].Read(block);
-            cnt = ApplyPredBatch(v.tags + (base - v.base),
-                                 v.data + (base - v.base), cnt, sel.data(),
-                                 /*dense=*/k == 0, preds[k], dict_);
-          }
-          s.num_rows = cnt;
-          if (cnt == 0) return;  // no survivors: decode no output column
-          std::vector<BlockView> views;
-          views.reserve(out_cur.size());
-          for (int cu : out_cur) {
-            views.push_back(cursors[static_cast<size_t>(cu)].Read(block));
-          }
-          s.cells.reserve(cnt * views.size());
-          for (size_t i = 0; i < cnt; ++i) {
-            size_t rid = base + static_cast<size_t>(sel[i]);
-            for (const BlockView& v : views) {
-              s.cells.push_back(
-                  Cell{v.tags[rid - v.base], v.data[rid - v.base]});
-            }
-          }
-        },
-        StopPredicate());
-    XS_RETURN_IF_ERROR(ReplaySpanChecks(layout.spans, slots));
-    return SlotsAsParts(static_cast<int>(node.output.size()), &slots);
+    std::vector<BlockCursor> cursors;
+    cursors.reserve(cursor_cols.size());
+    for (int c : cursor_cols) cursors.emplace_back(table->column(c));
+
+    // A span lies within one block, so each predicate runs
+    // column-at-a-time over the whole span into `sel` (dense first pass,
+    // in-place compaction for later conjuncts), and only then are the
+    // survivors' output cells gathered, into a chunk allocated once at
+    // its exact size. Each span with survivors is one part of the output.
+    RowSet out;
+    out.width = static_cast<int>(node.output.size());
+    std::vector<int32_t> sel;
+    std::vector<BlockView> views;
+    for (ScanSpan span : layout.spans) {
+      size_t base = static_cast<size_t>(span.lo);
+      size_t lim = static_cast<size_t>(span.hi - span.lo);
+      XS_RETURN_IF_ERROR(CheckMorsel(base, base + lim));
+      size_t block = base / kStorageBlockRows;
+      sel.resize(lim);
+      size_t cnt = lim;
+      if (preds.empty()) std::iota(sel.begin(), sel.end(), 0);
+      for (size_t k = 0; k < preds.size() && cnt > 0; ++k) {
+        BlockView v = cursors[static_cast<size_t>(pred_cur[k])].Read(block);
+        cnt = ApplyPredBatch(v.tags + (base - v.base),
+                             v.data + (base - v.base), cnt, sel.data(),
+                             /*dense=*/k == 0, preds[k], dict_);
+      }
+      if (cnt == 0) continue;  // no survivors: decode no output column
+      views.clear();
+      for (int cu : out_cur) {
+        views.push_back(cursors[static_cast<size_t>(cu)].Read(block));
+      }
+      Chunk chunk;
+      chunk.width = out.width;
+      chunk.num_rows = cnt;
+      chunk.ReserveRows(cnt);
+      for (size_t i = 0; i < cnt; ++i) {
+        size_t rid = base + static_cast<size_t>(sel[i]);
+        for (const BlockView& v : views) {
+          chunk.cells.push_back(
+              Cell{v.tags[rid - v.base], v.data[rid - v.base]});
+        }
+      }
+      out.AppendWhole(std::move(chunk));
+    }
+    return out;
   }
 
   Result<Chunk> ExecIndexPath(const PlanNode& node) {
@@ -1257,35 +1174,24 @@ class ExecState {
         view->schema().num_columns()) {
       return Internal("view column count does not match plan output");
     }
+    // Every visible row is copied verbatim, span by span.
     Chunk out;
     out.width = view->schema().num_columns();
-    size_t width = static_cast<size_t>(out.width);
-    size_t n = static_cast<size_t>(layout.scanned_rows);
-    out.num_rows = n;
-    // Every visible row is copied verbatim, so workers write disjoint
-    // [rid*width, ...) ranges of the preallocated output directly; the
-    // slots only track started state for the check replay.
-    out.cells.resize(n * width);
-    std::vector<MorselSlot> slots(layout.spans.size());
-    ParallelFor(
-        num_threads_, static_cast<int>(slots.size()),
-        [&](int m) {
-          slots[static_cast<size_t>(m)].started = true;
-          ScanSpan span = layout.spans[static_cast<size_t>(m)];
-          std::vector<ColumnReader> readers;
-          readers.reserve(width);
-          for (int c = 0; c < out.width; ++c) {
-            readers.emplace_back(view->column(c));
-          }
-          for (int64_t rid = span.lo; rid < span.hi; ++rid) {
-            for (size_t c = 0; c < width; ++c) {
-              out.cells[static_cast<size_t>(rid) * width + c] =
-                  readers[c].At(static_cast<size_t>(rid));
-            }
-          }
-        },
-        StopPredicate());
-    XS_RETURN_IF_ERROR(ReplaySpanChecks(layout.spans, slots));
+    out.ReserveRows(static_cast<size_t>(layout.scanned_rows));
+    std::vector<ColumnReader> readers;
+    readers.reserve(static_cast<size_t>(out.width));
+    for (int c = 0; c < out.width; ++c) readers.emplace_back(view->column(c));
+    for (ScanSpan span : layout.spans) {
+      size_t lo = static_cast<size_t>(span.lo);
+      size_t hi = static_cast<size_t>(span.hi);
+      XS_RETURN_IF_ERROR(CheckMorsel(lo, hi));
+      for (size_t rid = lo; rid < hi; ++rid) {
+        for (ColumnReader& reader : readers) {
+          out.cells.push_back(reader.At(rid));
+        }
+      }
+      out.num_rows += hi - lo;
+    }
     return out;
   }
 
@@ -1418,21 +1324,14 @@ class ExecState {
     // ascending build order, making match order independent of the
     // standard library's hash container internals.
     size_t bn = build.num_rows;
-    std::vector<uint8_t> bcls(bn, 0);
+    std::vector<uint8_t> bcls(bn, 0);  // stays 0 on a NULL or NaN key
     std::vector<uint64_t> bkey(bn, 0);
-    // Key normalization is a pure per-row function into disjoint array
-    // slots (cls stays 0 on NULL/NaN); the chain linking below runs on the
-    // coordinator (it is a sequential dependence and fixes the
-    // deterministic ascending chain order).
-    ParallelFor(num_threads_, static_cast<int>(NumMorsels(bn)), [&](int m) {
-      size_t i = static_cast<size_t>(m) * kMorselRows;
-      build.ForEachStretch(i, std::min(bn, i + kMorselRows),
-                           [&](const Part& part, size_t r0, size_t r1) {
-        for (size_t r = r0; r < r1; ++r, ++i) {
-          Cell c = part.chunk.row(r)[static_cast<size_t>(build_pos)];
-          NormalizeJoinKey(c, &bcls[i], &bkey[i]);
-        }
-      });
+    size_t k = 0;
+    build.ForEachStretch(0, bn, [&](const Part& part, size_t r0, size_t r1) {
+      for (size_t r = r0; r < r1; ++r, ++k) {
+        Cell c = part.chunk.row(r)[static_cast<size_t>(build_pos)];
+        NormalizeJoinKey(c, &bcls[k], &bkey[k]);
+      }
     });
     size_t nbuckets = 16;
     while (nbuckets < bn) nbuckets <<= 1;
@@ -1448,11 +1347,9 @@ class ExecState {
     XS_RETURN_IF_ERROR(ChargeHashRows(static_cast<double>(build.num_rows)));
 
     // Probes one row against the (now frozen) table, appending matches in
-    // ascending build order. Each worker probes a disjoint probe-row range
-    // into its own slot, so the slots in morsel order hold the
-    // probe-major, build-ascending match order at any thread count.
-    auto probe_row = [&](const Cell* prow, std::vector<Cell>* cells,
-                         size_t* rows) {
+    // ascending build order, so the morsels' chunks in order hold the
+    // probe-major, build-ascending match order.
+    auto probe_row = [&](const Cell* prow, Chunk* matches) {
       uint8_t cls = 0;
       uint64_t bits = 0;
       if (!NormalizeJoinKey(prow[static_cast<size_t>(probe_pos)], &cls,
@@ -1463,35 +1360,32 @@ class ExecState {
            i = chain[static_cast<size_t>(i)]) {
         size_t bi = static_cast<size_t>(i);
         if (bcls[bi] != cls || bkey[bi] != bits) continue;
-        cells->insert(cells->end(), prow, prow + probe.width);
+        std::vector<Cell>& cells = matches->cells;
+        cells.insert(cells.end(), prow, prow + probe.width);
         // A match searches for its build row's part: a pointer kept per
         // build row costs more wherever matches are fewer than build rows.
         const Part& part = build.parts[build.PartIndex(bi)];
         const Cell* brow = part.chunk.row(bi - part.first);
-        cells->insert(cells->end(), brow, brow + build.width);
-        ++*rows;
+        cells.insert(cells.end(), brow, brow + build.width);
+        ++matches->num_rows;
       }
     };
 
+    // Each probe morsel's matches are one part of the output.
+    RowSet out;
+    out.width = probe.width + build.width;
     size_t pn = probe.num_rows;
-    std::vector<MorselSlot> slots(NumMorsels(pn));
-    ParallelFor(
-        num_threads_, static_cast<int>(slots.size()),
-        [&](int m) {
-          MorselSlot& s = slots[static_cast<size_t>(m)];
-          s.started = true;
-          size_t lo = static_cast<size_t>(m) * kMorselRows;
-          size_t hi = std::min(pn, lo + kMorselRows);
-          probe.ForEachStretch(lo, hi, [&](const Part& part, size_t r0,
-                                           size_t r1) {
-            for (size_t r = r0; r < r1; ++r) {
-              probe_row(part.chunk.row(r), &s.cells, &s.num_rows);
-            }
-          });
-        },
-        StopPredicate());
-    XS_RETURN_IF_ERROR(ReplayScanChecks(pn, slots));
-    RowSet out = SlotsAsParts(probe.width + build.width, &slots);
+    for (size_t lo = 0; lo < pn; lo += kMorselRows) {
+      size_t hi = std::min(pn, lo + kMorselRows);
+      XS_RETURN_IF_ERROR(CheckMorsel(lo, hi));
+      Chunk matches;
+      matches.width = out.width;
+      probe.ForEachStretch(lo, hi, [&](const Part& part, size_t r0,
+                                       size_t r1) {
+        for (size_t r = r0; r < r1; ++r) probe_row(part.chunk.row(r), &matches);
+      });
+      if (matches.num_rows > 0) out.AppendWhole(std::move(matches));
+    }
     XS_RETURN_IF_ERROR(ChargeHashRows(static_cast<double>(probe.num_rows)));
     XS_RETURN_IF_ERROR(ChargeCpuRows(static_cast<double>(out.num_rows)));
     return out;
@@ -1526,10 +1420,9 @@ class ExecState {
   }
 
   // Scalar aggregation (no GROUP BY): folds the child's rows into one
-  // output row of COUNT/SUM/MIN/MAX cells. The reduction is defined as
-  // per-morsel partials merged in morsel order at every thread count, so
-  // floating-point SUMs are bit-identical regardless of
-  // ExecOptions::exec_threads.
+  // output row of COUNT/SUM/MIN/MAX cells. Each morsel's rows fold into a
+  // partial, and the partials fold in morsel order; that tree defines the
+  // rounding of a floating-point SUM.
   Result<Chunk> ExecAggregate(const PlanNode& node, ExplainNode* en) {
     XS_ASSIGN_OR_RETURN(RowSet input,
                         ExecPlain(*node.children[0], Child(en, 0)));
@@ -1556,47 +1449,35 @@ class ExecState {
 
     size_t n = input.num_rows;
     size_t nspec = specs.size();
-    size_t nm = NumMorsels(n);
-    std::vector<AggAcc> partials(nm * nspec);
-    std::vector<MorselSlot> slots(nm);
-    ParallelFor(
-        num_threads_, static_cast<int>(nm),
-        [&](int m) {
-          slots[static_cast<size_t>(m)].started = true;
-          AggAcc* acc = partials.data() + static_cast<size_t>(m) * nspec;
-          size_t lo = static_cast<size_t>(m) * kMorselRows;
-          size_t hi = std::min(n, lo + kMorselRows);
-          input.ForEachStretch(lo, hi, [&](const Part& part, size_t r0,
-                                           size_t r1) {
-            for (size_t r = r0; r < r1; ++r) {
-              const Cell* row = part.chunk.row(r);
-              for (size_t j = 0; j < nspec; ++j) {
-                if (specs[j].func == AggFunc::kNone) continue;
-                Cell c = specs[j].pos < 0
-                             ? Cell{}
-                             : row[static_cast<size_t>(specs[j].pos)];
-                UpdateAgg(specs[j].func, &acc[j], c, dict_);
-              }
-            }
-          });
-        },
-        StopPredicate());
-    XS_RETURN_IF_ERROR(ReplayScanChecks(n, slots));
+    std::vector<AggAcc> totals(nspec);
+    std::vector<AggAcc> partials(nspec);
+    for (size_t lo = 0; lo < n; lo += kMorselRows) {
+      size_t hi = std::min(n, lo + kMorselRows);
+      XS_RETURN_IF_ERROR(CheckMorsel(lo, hi));
+      std::fill(partials.begin(), partials.end(), AggAcc{});
+      input.ForEachStretch(lo, hi, [&](const Part& part, size_t r0,
+                                       size_t r1) {
+        for (size_t r = r0; r < r1; ++r) {
+          const Cell* row = part.chunk.row(r);
+          for (size_t j = 0; j < nspec; ++j) {
+            if (specs[j].func == AggFunc::kNone) continue;
+            Cell c = specs[j].pos < 0 ? Cell{}
+                                      : row[static_cast<size_t>(specs[j].pos)];
+            UpdateAgg(specs[j].func, &partials[j], c, dict_);
+          }
+        }
+      });
+      for (size_t j = 0; j < nspec; ++j) {
+        MergeAgg(specs[j].func, &totals[j], partials[j]);
+      }
+    }
 
     Chunk out;
     out.width = static_cast<int>(nspec);
     out.num_rows = 1;
     out.ReserveRows(1);
     for (size_t j = 0; j < nspec; ++j) {
-      if (specs[j].func == AggFunc::kNone) {
-        out.cells.push_back(Cell{});
-        continue;
-      }
-      AggAcc acc;
-      for (size_t m = 0; m < nm; ++m) {
-        MergeAgg(specs[j].func, &acc, partials[m * nspec + j]);
-      }
-      out.cells.push_back(FinalizeAgg(specs[j].func, acc));
+      out.cells.push_back(FinalizeAgg(specs[j].func, totals[j]));
     }
     return out;
   }
@@ -1630,24 +1511,16 @@ class ExecState {
     size_t nord = ords.size();
     size_t n = input.num_rows;
     // Sort over encoded keys: (class, 64-bit) compares reproduce
-    // Value::TotalLess exactly without touching string data. Key encoding
-    // is a per-row pure function into disjoint ranges, so it runs as
-    // morsels, each walking the parts in order; the merge runs on the
-    // coordinator (its output is unique anyway).
-    std::vector<SortKey> keys(n * nord);
-    ParallelFor(num_threads_, static_cast<int>(NumMorsels(n)), [&](int m) {
-      size_t lo = static_cast<size_t>(m) * kMorselRows;
-      size_t hi = std::min(n, lo + kMorselRows);
-      SortKey* key = keys.data() + lo * nord;
-      input.ForEachStretch(lo, hi, [&](const Part& part, size_t r0,
-                                       size_t r1) {
-        for (size_t r = r0; r < r1; ++r) {
-          for (int ord : ords) {
-            *key++ = EncodeCellKey(part.At(r, static_cast<size_t>(ord)),
-                                   dict_);
-          }
+    // Value::TotalLess exactly without touching string data.
+    std::vector<SortKey> keys;
+    keys.reserve(n * nord);
+    input.ForEachStretch(0, n, [&](const Part& part, size_t r0, size_t r1) {
+      for (size_t r = r0; r < r1; ++r) {
+        for (int ord : ords) {
+          keys.push_back(
+              EncodeCellKey(part.At(r, static_cast<size_t>(ord)), dict_));
         }
-      });
+      }
     });
     std::vector<size_t> perm =
         NaturalMergeSort(n, [&keys, nord](size_t a, size_t b) {
@@ -1675,7 +1548,6 @@ class ExecState {
   const EpochSnapshot* snapshot_;
   const std::atomic<bool>* cancel_;
   FaultInjector* faults_;
-  int num_threads_;
 };
 
 // The explain tree must have come from BuildExplainTree on this plan;

@@ -34,13 +34,13 @@ struct ExplainNode;
 // deadline, and fault sites once per batch.
 inline constexpr size_t kScanBatchRows = 1024;
 
-// Rows per execution morsel (a multiple of kScanBatchRows). Scans, hash
-// joins, sorts, and aggregates split their input into fixed
-// [m*kMorselRows, (m+1)*kMorselRows) ranges run through ParallelFor
-// (inline at one thread); each morsel writes into a pre-assigned slot,
-// and the coordinator concatenates the slots — and replays every
-// interrupt/fault check — in morsel enumeration order, so output rows,
-// metering, and trip points never depend on the thread count.
+// Rows per execution morsel (a multiple of kScanBatchRows). Hash-join
+// probes and aggregates walk their input as fixed
+// [m*kMorselRows, (m+1)*kMorselRows) ranges, and heap and view scans as
+// block-aligned spans, on the calling thread in order; each morsel
+// polls its batch interrupts (and the exec.morsel fault site) as the loop
+// reaches it, and a scan's or probe's morsel output is handed on as one
+// part of its rows (DESIGN.md §13).
 inline constexpr size_t kMorselRows = 4 * kScanBatchRows;
 
 // Per-query view of the work one Run performed. The registry (see
@@ -61,12 +61,6 @@ struct ExecMetrics {
 // Optional per-run instrumentation. Every member defaults to off; a
 // default-constructed ExecOptions is the bare metered run.
 struct ExecOptions {
-  // Intra-query morsel workers. Scans, hash joins, sorts, and aggregates
-  // always run as kMorselRows morsels; <= 1 runs them inline on the
-  // calling thread, N > 1 on N workers. Results, metering, explain
-  // actuals, and governor/fault trip points are bit-identical at any
-  // value (DESIGN.md §13), so this is purely a latency knob.
-  int exec_threads = 1;
   // Read the steady clock around instrumented operators and record wall
   // times (ExplainNode::wall_ns). Off = no clock reads anywhere (the
   // determinism gate).

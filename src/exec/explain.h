@@ -15,7 +15,7 @@
 //      deterministic path performs no clock reads.
 //   3. ExplainToText / ExplainToJson render one tree;
 //      ExplainDocumentToJson renders a whole workload's worth. JSON with
-//      include_timing=false is bit-identical at any thread count.
+//      include_timing=false is bit-identical across runs.
 //   4. ObserveCalibration folds estimated-vs-actual into the calibration
 //      histograms of a MetricsRegistry (q-errors per operator kind plus
 //      query-level cost and pages), which RunReport surfaces as the
@@ -51,7 +51,7 @@ struct ExplainNode {
   double actual_work = 0;   // metered work units, comparable to est_cost
   double actual_pages = 0;  // sequential + random page-equivalents
   // Storage blocks the subtree's sequential scans touched vs. pruned by
-  // zone maps (DESIGN.md §14). Identical at any thread count.
+  // zone maps (DESIGN.md §14).
   int64_t actual_blocks_scanned = 0;
   int64_t actual_blocks_skipped = 0;
   double wall_ns = 0;       // 0 unless ExecOptions::capture_timing
@@ -76,7 +76,7 @@ std::string ExplainToText(const ExplainNode& node);
 // Deterministic JSON for one tree. With include_timing=false every
 // wall_ns renders as exactly 0 (the shared RenderJsonDurationNs
 // convention from common/trace.h), making the document bit-identical
-// across runs and thread counts.
+// across runs.
 std::string ExplainToJson(const ExplainNode& node,
                           bool include_timing = false);
 

@@ -117,8 +117,7 @@ struct ScanLayout {
 // Computes which blocks of `table` a scan over rows [0, bound) must
 // touch. Sealed blocks whose zone maps refute any probe are skipped when
 // `allow_skip`; the unsealed tail (no zone map) and any block the bound
-// cuts mid-way are always scanned. Pure function of storage + probes:
-// identical at any thread count.
+// cuts mid-way are always scanned. Pure function of storage + probes.
 ScanLayout ComputeScanLayout(const Table& table, int64_t bound,
                              const std::vector<ColumnProbe>& probes,
                              bool allow_skip);

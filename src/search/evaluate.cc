@@ -64,7 +64,6 @@ Result<WorkloadEvaluation> EvaluateOnData(const SearchResult& result,
   exec_options.governor = exec.governor;
   exec_options.metrics = exec.metrics;
   exec_options.capture_timing = options.capture_timing;
-  exec_options.exec_threads = options.exec_threads;
   // Explain trees are cheap (one small node per operator); build them
   // whenever either a caller wants them or a registry is listening for
   // calibration q-errors.

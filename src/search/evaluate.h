@@ -25,9 +25,6 @@ struct WorkloadEvaluation {
 };
 
 struct EvaluateOptions {
-  // Morsel workers per executed query (ExecOptions::exec_threads); the
-  // evaluation totals are identical at any value.
-  int exec_threads = 1;
   // Records per-operator wall time in the explain trees (clock reads;
   // breaks bit-identity of timing fields, like trace durations).
   bool capture_timing = false;

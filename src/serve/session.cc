@@ -363,7 +363,6 @@ ServeResponse SessionManager::ExecuteLocked(uint64_t ticket, double now) {
     ExecOptions options;
     options.governor = &governor;
     options.metrics = metrics_;
-    options.exec_threads = config_.exec_threads;
     options.snapshot = snapshot.get();
     options.cancel = cancel;
     options.faults = FaultInjector::Global();

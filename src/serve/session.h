@@ -67,11 +67,10 @@
 namespace xmlshred {
 
 struct ServeConfig {
-  // Intra-query morsel workers per request. Results, metering, and
-  // governor trip points are bit-identical at any value — the per-request
-  // governor is the shared budget pool its workers charge through — so it
-  // only changes request latency.
-  int exec_threads = 1;
+  // Each request executes on the thread that runs it. The constant's one
+  // reader is the `# env` line of pipebench (PrintEnvironment in
+  // pipebench/pipebench.cc); it goes when that line stops printing it.
+  static constexpr int exec_threads = 1;
   // Execution slots: requests running concurrently (overlapping in
   // virtual time under the DES driver, real threads under Submit).
   int max_concurrent = 4;

@@ -11,8 +11,7 @@
 // Determinism contract: under the virtual-time drivers (Offer /
 // ExecuteTicket / CompleteTicket and the soak), every export below —
 // window JSON lines, sampled per-request traces, the retained event log,
-// and post-mortem bundles — is bit-identical at any --threads /
-// --exec-threads setting, because
+// and post-mortem bundles — is bit-identical across runs, because
 //
 //  * window boundaries are virtual times and counter deltas are exact
 //    integers (common/timeseries.h),
@@ -21,9 +20,8 @@
 //    (rng_seed, request_id) (DeterministicHeadSample),
 //  * events carry virtual timestamps and pre-rendered attributes, never
 //    pointers or wall times,
-//  * a post-mortem snapshots manager state that the coordinator-replay
-//    protocol already keeps thread-count-invariant (queue depth, pool
-//    accounting, plan explain).
+//  * a post-mortem snapshots manager state (queue depth, pool
+//    accounting, plan explain) that the virtual-time drivers fix.
 //
 // Each export has an FNV-1a digest so CI pins the invariance with a
 // string compare instead of committing whole documents.

@@ -549,16 +549,6 @@ Result<TunerResult> PhysicalDesignAdvisor::Tune(
   return result;
 }
 
-RunReport TunerResult::ToReport() const {
-  RunReport report;
-  report.advisor.tune_calls = 1;
-  report.advisor.optimizer_calls = optimizer_calls;
-  report.advisor.whatif_rollbacks = whatif_rollbacks;
-  report.advisor.candidates_skipped = candidates_skipped;
-  report.advisor.truncated = truncated;
-  return report;
-}
-
 Status ApplyConfiguration(const TunerResult& result, Database* db) {
   // All-or-nothing: a failure mid-apply (e.g. an injected index-build or
   // materialization fault) drops every structure created so far, so the

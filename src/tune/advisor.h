@@ -29,7 +29,6 @@
 
 #include "common/exec_context.h"
 #include "common/limits.h"
-#include "common/run_report.h"
 #include "common/status.h"
 #include "opt/planner.h"
 #include "rel/catalog.h"
@@ -73,10 +72,6 @@ struct TunerResult {
   bool truncated = false;       // selection stopped early on budget/deadline
   int whatif_rollbacks = 0;     // what-if catalog pops taken on a failure
   int candidates_skipped = 0;   // candidates dropped after a failed what-if
-
-  // This tuner call's numbers as a unified run report (advisor section
-  // only; the search section stays zero).
-  RunReport ToReport() const;
 };
 
 // Insert load on one relation: expected rows inserted per workload unit.

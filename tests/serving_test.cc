@@ -690,77 +690,6 @@ TEST(ServingThreadedTest, ConcurrentSubmitHammerKeepsAccountsBalanced) {
   ExpectAccountingBalanced(manager.metrics());
 }
 
-// The same storm with intra-query morsel workers under every request:
-// concurrent Submit threads each fan out to a transient 4-worker pool, so
-// TSan sees nested parallelism (serving threads × exec workers) against
-// the shared database, the per-request governors, and the global fault
-// injector. The accounting invariant must hold exactly as in the serial
-// hammer — exec_threads is a latency knob, not a semantics knob.
-TEST(ServingThreadedTest, ConcurrentSubmitHammerWithMorselWorkers) {
-  ServeFixture local;  // private database: the chaos thread appends to it
-  ServeConfig config;
-  config.max_concurrent = 3;
-  config.queue_capacity = 4;
-  config.global_work_budget = 2000.0;
-  config.exec_threads = 4;
-  SessionManager manager(local.db.get(), *local.data.tree, *local.mapping,
-                         config, nullptr);
-
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 24;
-  std::vector<uint64_t> sessions;
-  for (int i = 0; i < kThreads; ++i) sessions.push_back(manager.OpenSession());
-
-  FaultInjector::Global()->ArmProbabilistic(/*seed=*/99,
-                                            /*probability=*/0.02);
-
-  std::atomic<bool> cancel_some{true};
-  std::atomic<int64_t> responses{0};
-  auto client = [&](int id) {
-    for (int i = 0; i < kPerThread; ++i) {
-      ServeRequest request;
-      request.query = (i % 3 == 0) ? ServeFixture::ScanAllQuery()
-                                   : ServeFixture::SelectiveQuery();
-      if (i % 5 == 1) request.deadline_work = 2.0;  // expires mid-query
-      if (i % 7 == 2) request.cancel = &cancel_some;
-      if (i % 4 == 3) request.wall_queue_wait_seconds = 0.02;
-      ServeResponse resp =
-          manager.Submit(sessions[static_cast<size_t>(id)], request);
-      (void)resp;
-      responses.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  std::thread chaos([&] {
-    Row extra = local.db->FindTable("inproc")->GetRow(1);
-    for (int k = 0; k < 8; ++k) {
-      (void)manager.AppendAndPublish("inproc", {extra, extra});
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  });
-  std::vector<std::thread> clients;
-  for (int i = 0; i < kThreads; ++i) clients.emplace_back(client, i);
-  for (std::thread& t : clients) t.join();
-  chaos.join();
-  FaultInjector::Global()->Disarm();
-
-  EXPECT_EQ(responses.load(), kThreads * kPerThread);
-  EXPECT_TRUE(manager.Idle());
-  EXPECT_EQ(Counter(manager.metrics(), kMetricServeRequests),
-            kThreads * kPerThread);
-  ExpectAccountingBalanced(manager.metrics());
-
-  // After the storm every session still serves a clean request, and the
-  // morsel-path answer matches a serial manager's byte for byte.
-  for (uint64_t session : sessions) {
-    ServeRequest request;
-    request.query = ServeFixture::SelectiveQuery();
-    ServeResponse resp = manager.Submit(session, request);
-    EXPECT_TRUE(resp.status.ok()) << resp.status;
-  }
-  EXPECT_TRUE(manager.Idle());
-  ExpectAccountingBalanced(manager.metrics());
-}
-
 // ---------------------------------------------------------------------
 // Streaming bulk ingest through the serving layer.
 

@@ -3,8 +3,8 @@
 //
 // SortOrder: ORDER BY results of Executor::Run, row by row and in order,
 // equal a std::stable_sort by Value::TotalLess of the same rows in scan
-// and branch order, built here from the inserted data, at one and four
-// morsel workers. Keys mix NULL, int, real and string cells and tie often
+// and branch order, built here from the inserted data. Keys mix NULL,
+// int, real and string cells and tie often
 // (-0.0 against 0.0, int 3 against real 3.0), inside one union branch and
 // across branches.
 //
@@ -86,8 +86,8 @@ struct SortFixture {
   std::vector<Row> shuffled, sorted, reversed, branch1, branch2;
 
   SortFixture() {
-    // 9000 rows: three morsels, so four workers split the key encoding
-    // and the output write.
+    // 9000 rows: three blocks, so the sort's input arrives in three
+    // parts.
     uint64_t x = 12345;
     auto next = [&x] {
       x = x * 6364136223846793005ull + 1442695040888963407ull;
@@ -227,15 +227,9 @@ TEST(SortOrder, RunMatchesStableSortByTotalLess) {
     ASSERT_EQ(plan.root->kind, c.root) << c.sql;
     std::vector<Row> expected =
         c.ordinals.empty() ? c.unsorted : StableSortBy(c.unsorted, c.ordinals);
-    for (int threads : {1, 4}) {
-      ExecOptions options;
-      options.exec_threads = threads;
-      auto rows = executor.Run(*plan.root, nullptr, options);
-      ASSERT_TRUE(rows.ok()) << c.sql << ": " << rows.status();
-      ExpectSameRowsInOrder(*rows, expected,
-                            std::string(c.sql) + " threads=" +
-                                std::to_string(threads));
-    }
+    auto rows = executor.Run(*plan.root, nullptr);
+    ASSERT_TRUE(rows.ok()) << c.sql << ": " << rows.status();
+    ExpectSameRowsInOrder(*rows, expected, c.sql);
   }
 }
 

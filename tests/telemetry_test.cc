@@ -27,7 +27,6 @@
 #include "serve/admission.h"
 #include "serve/retry.h"
 #include "serve/session.h"
-#include "serve/soak.h"
 #include "serve/telemetry.h"
 #include "workload/dblp.h"
 #include "xpath/xpath.h"
@@ -520,82 +519,6 @@ TEST(ServeTelemetryTest, QueueExpiryAtExactDeadlineBoundary) {
   EXPECT_EQ(telemetry->traces_sampled(), 2u);
   EXPECT_NE(telemetry->TracesJsonLines().find("expired_in_queue"),
             std::string::npos);
-}
-
-TEST(ServeTelemetryTest, SoakExportsAreIdenticalAcrossExecThreads) {
-  TelemetryFixture& f = Fixture();
-  XPathWorkload mix = {TelemetryFixture::SelectiveQuery(),
-                       TelemetryFixture::ScanAllQuery()};
-  // Scale the load off the measured work of the mix (as the bench does)
-  // so the soak genuinely overloads: arrivals twice as fast as the mean
-  // service time, tight deadlines, a small shared budget.
-  double mean_work = 0;
-  {
-    ServeConfig probe_config;
-    SessionManager probe(f.db.get(), *f.data.tree, *f.mapping,
-                         probe_config, nullptr);
-    uint64_t sid = probe.OpenSession();
-    for (const XPathQuery& q : mix) {
-      ServeRequest req;
-      req.query = q;
-      ServeResponse shed;
-      uint64_t ticket = 0;
-      ASSERT_EQ(probe.Offer(sid, req, 0.0, &shed, &ticket),
-                AdmitOutcome::kRun);
-      ServeResponse done = probe.ExecuteTicket(ticket, 0.0);
-      ASSERT_TRUE(done.status.ok()) << done.status.ToString();
-      probe.CompleteTicket(ticket, done.work);
-      mean_work += done.work;
-    }
-    mean_work /= static_cast<double>(mix.size());
-  }
-  ASSERT_GT(mean_work, 0);
-  struct Exports {
-    std::string timeseries, traces, events, postmortems;
-    size_t windows = 0, bundles = 0;
-    int64_t clock_reads = 0;
-  };
-  auto run_once = [&](int exec_threads) {
-    ServeConfig config = TelemetryConfig(
-        /*window_width=*/5.0 * mean_work);
-    config.telemetry.trace_sample_period = 4;
-    config.max_concurrent = 2;
-    config.queue_capacity = 2;
-    config.global_work_budget = 3.0 * mean_work;
-    config.exec_threads = exec_threads;
-    SessionManager manager(f.db.get(), *f.data.tree, *f.mapping, config,
-                           nullptr);
-    SoakOptions options;
-    options.num_clients = 3;
-    options.requests_per_client = 12;
-    options.mean_gap = 0.5 * mean_work;  // overload: plenty of shedding
-    options.deadline_work = 2.0 * mean_work;
-    options.seed = 7;
-    auto report = RunSoak(&manager, mix, options);
-    EXPECT_TRUE(report.ok()) << report.status();
-    EXPECT_TRUE(report->invariants_ok) << report->invariant_error;
-    ServeTelemetry* telemetry = manager.telemetry();
-    EXPECT_NE(telemetry, nullptr);
-    Exports e;
-    e.timeseries = telemetry->TimeSeriesDigest();
-    e.traces = telemetry->TracesDigest();
-    e.events = telemetry->EventsDigest();
-    e.postmortems = telemetry->PostmortemsDigest();
-    e.windows = telemetry->recorder().windows().size();
-    e.bundles = telemetry->postmortems().size();
-    e.clock_reads = telemetry->clock_reads();
-    return e;
-  };
-  Exports t1 = run_once(1);
-  Exports t4 = run_once(4);
-  EXPECT_GT(t1.windows, 1u);
-  EXPECT_GE(t1.bundles, 1u);  // the overload sheds -> post-mortems exist
-  EXPECT_EQ(t1.clock_reads, 0);
-  EXPECT_EQ(t4.clock_reads, 0);
-  EXPECT_EQ(t1.timeseries, t4.timeseries);
-  EXPECT_EQ(t1.traces, t4.traces);
-  EXPECT_EQ(t1.events, t4.events);
-  EXPECT_EQ(t1.postmortems, t4.postmortems);
 }
 
 // ---------------------------------------------------------------------

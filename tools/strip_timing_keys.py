@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Strips machine-dependent timing keys from a bench JSON export.
 
-Stdlib-only. The parallel-execution sweep
-(bench_engine_micro --exec-threads-sweep) records two classes of values:
-deterministic observables (rows, work, pages) that must be byte-stable
-across machines, and timing keys (wall clock per thread count, derived
-speedups, adaptive iteration counts, the machine's hardware thread
-count) that cannot be. This filter removes the latter so CI can hold the
-former to tools/compare_bench.py --rel-tol 0 against the committed
-baseline.
+Stdlib-only. A bench export such as bench_compression's or
+bench_ingest's records two classes of values: deterministic observables
+(rows, work, pages, bytes, digests) that must be byte-stable across
+machines, and timing keys (wall clock, derived speedups, adaptive
+iteration counts, the machine's hardware thread count) that cannot be.
+This filter removes the latter so CI can hold the former to
+tools/compare_bench.py --rel-tol 0 against the committed baseline. CI
+also strips the span durations (`duration_ns`) of two sampled traces
+before comparing them.
 
 The serving telemetry exports (DESIGN.md §15) add two more timing
 classes: windows stamped under --capture-wall-time carry `wall_ns` (and
